@@ -137,12 +137,12 @@ def _cmd_majority_verify(args: argparse.Namespace) -> int:
 
 def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
     g, _ = from_text_with_names(_read_file(args.graph))
+    free = None if args.free is None else _parse_id_list(args.free)
+    for v in free or ():
+        if not 0 <= v < g.vertex_count:
+            raise ParseError(f"--free vertex {v} out of range")
     colorings = majority.enumerate_majority_colorings(g, args.colors)
-    if args.free is not None:
-        free = _parse_id_list(args.free)
-        for v in free:
-            if not 0 <= v < g.vertex_count:
-                raise ParseError(f"--free vertex {v} out of range")
+    if free is not None:
         rows = sorted({majority.project(c, free) for c in colorings})
     else:
         rows = [c.colors for c in colorings]

@@ -4,9 +4,10 @@ A coloring is a majority coloring when every vertex has at least as many
 bichromatic out-edges as monochromatic ones.  This module provides the
 verifier (the ground truth every other routine is checked against), the
 folklore greedy 2-coloring of finite DAGs in reverse topological order,
-a backtracking enumerator of all majority k-colorings with incremental
-pruning, a deliberately naive brute-force oracle, and the feasible-prefix
-experiment over the counterexample truncations.
+an iterative backtracking enumerator of all majority k-colorings that
+colors sinks first and prunes each vertex as soon as it is checkable, a
+deliberately naive brute-force oracle, and the feasible-prefix experiment
+over the counterexample truncations, which runs on the same enumerator.
 """
 
 from __future__ import annotations
@@ -141,9 +142,11 @@ def enumerate_majority_colorings(
     """All majority colorings, ordered lexicographically over the free vertices.
 
     Without an extension rule, ``free`` plus ``fixed`` must cover every
-    vertex; the search backtracks over vertices in index order and prunes
-    a branch as soon as some vertex with all out-neighbors assigned fails
-    the majority condition.
+    vertex.  The search backtracks with an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit.  It assigns vertices
+    in reverse topological order (id order when the graph has a cycle) and
+    prunes a branch as soon as some vertex with all out-neighbors assigned
+    fails the majority condition; the solutions are then sorted.
 
     With an extension rule, only the free and fixed vertices are assigned
     explicitly; the rule maps each such assignment to a total assignment
@@ -158,48 +161,67 @@ def enumerate_majority_colorings(
             raise ValueError(
                 "without an extension rule, free plus fixed must cover all vertices"
             )
-        return _enumerate_backtracking(g, palette_size, free_list, fixed_map)
+        return _enumerate_search(g, palette_size, fixed_map)
     return _enumerate_with_extension(g, palette_size, free_list, fixed_map, extend)
 
 
-def _enumerate_backtracking(
-    g: DiGraph,
-    k: int,
-    free_list: list[int],
-    fixed_map: dict[int, int],
+def _enumerate_search(
+    g: DiGraph, k: int, fixed_map: dict[int, int]
 ) -> list[Coloring]:
-    n = g.vertex_count
-    # Vertex v becomes checkable once the last of {v} + out(v) is assigned.
-    checks_at: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if g.out_degree(v) == 0:
-            continue
-        checks_at[max(v, max(g.out(v)))].append(v)
-    colors = [-1] * n
     for v, c in fixed_map.items():
         if not 0 <= c < k:
             raise ValueError(f"fixed color {c} for vertex {v} outside palette")
-    free_set = set(free_list)
-    results: list[Coloring] = []
-
-    def condition_holds(v: int) -> bool:
-        cv = colors[v]
-        mono = sum(1 for u in g.out(v) if colors[u] == cv)
-        return 2 * mono <= g.out_degree(v)
-
-    def recurse(v: int) -> None:
-        if v == n:
-            results.append(Coloring(k, tuple(colors)))
-            return
-        choices = range(k) if v in free_set else (fixed_map[v],)
-        for c in choices:
-            colors[v] = c
-            if all(condition_holds(w) for w in checks_at[v]):
-                recurse(v + 1)
-        colors[v] = -1
-
-    recurse(0)
-    return results
+    n = g.vertex_count
+    # Sinks first: on a DAG every vertex is checkable the moment it is
+    # colored, so a violation prunes at once.  A cycle leaves id order.
+    try:
+        order = topological_sort(g)[::-1]
+    except CycleFound:
+        order = list(range(n))
+    depth_of = [0] * n
+    for depth, v in enumerate(order):
+        depth_of[v] = depth
+    # Vertex v becomes checkable at the depth where the last of {v} + out(v)
+    # is assigned.
+    checks_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for v in range(n):
+        targets = tuple(g.out(v))
+        if targets:
+            last = max(depth_of[v], max(depth_of[u] for u in targets))
+            checks_at[last].append((v, targets))
+    palette = tuple(range(k))
+    choices = [(fixed_map[v],) if v in fixed_map else palette for v in order]
+    colors = [-1] * n
+    # next_choice[d] is the index of the next color to try at depth d; the
+    # depths 0..depth form the explicit search stack.
+    next_choice = [0] * n
+    found: list[tuple[int, ...]] = []
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            found.append(tuple(colors))
+            depth -= 1
+            continue
+        options = choices[depth]
+        i = next_choice[depth]
+        if i == len(options):
+            next_choice[depth] = 0
+            depth -= 1
+            continue
+        next_choice[depth] = i + 1
+        colors[order[depth]] = options[i]
+        for w, targets in checks_at[depth]:
+            cw = colors[w]
+            mono = 0
+            for u in targets:
+                if colors[u] == cw:
+                    mono += 1
+            if 2 * mono > len(targets):
+                break
+        else:
+            depth += 1
+    found.sort()
+    return [Coloring(k, row) for row in found]
 
 
 def _enumerate_with_extension(
@@ -274,22 +296,20 @@ def _brute_force_two_colors(g: DiGraph) -> list[Coloring]:
 def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:
     """Truth patterns on the first ``m`` path vertices realizable in G_n.
 
-    Enumerates the majority 2-colorings of the depth-``n`` truncation with
-    the anchor's color pinned to 0 (color-swap symmetry makes this lossless)
-    and gadget internals filled by the forced extension, then projects the
-    survivors onto path positions 1..m.
+    Enumerates every majority 2-coloring of the depth-``n`` truncation with
+    the anchor's color pinned to 0 (color-swap symmetry makes this
+    lossless), then projects the solutions onto path positions 1..m.  The
+    search colors sinks first, so each gadget's internals are forced by
+    the search itself as soon as their out-neighbors are colored.
     """
     if n < 2:
         raise ValueError("truncation depth must be at least 2")
     if not 1 <= m <= n:
         raise ValueError("prefix length must satisfy 1 <= m <= n")
-    from .counterexample import build_truncation, truncation_extension
+    from .counterexample import build_truncation
 
     g, spec = build_truncation(n)
-    rule = truncation_extension(g, spec)
-    solutions = enumerate_majority_colorings(
-        g, 2, free=spec.path, extend=rule, fixed={spec.anchor: 0}
-    )
+    solutions = enumerate_majority_colorings(g, 2, fixed={spec.anchor: 0})
     return {
         TruthView(spec.anchor, c).truths(spec.path[:m]) for c in solutions
     }

@@ -3,6 +3,7 @@ import contextlib
 
 import pytest
 
+from majoritylab import majority
 from majoritylab.cli import dispatch
 from majoritylab.counterexample import build_truncation, truncation_names
 from majoritylab.graph import DiGraph, from_dot, from_text, to_text
@@ -95,6 +96,32 @@ class TestMajorityCommands:
             ["majority", "enumerate", str(f), "--colors", "2", "--free", "1"]
         )
         assert out.splitlines() == ["0", "1"]
+
+    def test_enumerate_long_path(self, tmp_path):
+        n = 1500
+        g = DiGraph(n)
+        for v in range(n - 1):
+            g.add_edge(v, v + 1)
+        f = tmp_path / "path.json"
+        f.write_text(to_text(g), encoding="utf-8")
+        code, out, err = run(["majority", "enumerate", str(f), "--colors", "2"])
+        assert code == 0, err
+        assert out.splitlines() == [
+            " ".join(str((v + c) % 2) for v in range(n)) for c in (0, 1)
+        ]
+
+    def test_enumerate_free_checked_before_search(self, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("enumeration ran before --free was checked")
+
+        monkeypatch.setattr(majority, "enumerate_majority_colorings", no_search)
+        f = tmp_path / "one.json"
+        f.write_text(to_text(DiGraph(1)), encoding="utf-8")
+        code, _, err = run(
+            ["majority", "enumerate", str(f), "--colors", "2", "--free", "0,5"]
+        )
+        assert code == 2
+        assert "--free vertex 5 out of range" in err
 
     def test_prefix_experiment(self):
         code, out, _ = run(["majority", "prefix-experiment", "--max-n", "4", "--m", "2"])
