@@ -75,8 +75,6 @@ from .majority import (
 from .multigraph import (
     LocalSearchResult,
     WeightedMultigraph,
-    WeightedReport,
-    WeightedVertexCheck,
     has_majority_k_coloring,
     local_search_2color,
     search_non_k_colorable,

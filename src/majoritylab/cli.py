@@ -320,13 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample truncations, symbolic infinite checks, and weighted "
         "multigraph experiments.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized subcommands (reserved; the current "
-        "subcommands are fully deterministic)",
-    )
     groups = parser.add_subparsers(dest="group", required=True)
 
     g_majority = groups.add_parser("majority", help="verify / enumerate colorings")

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ChainTooShort, NotUnique, TooLarge
 from .graph import DiGraph, VertexId
+from .majority import monochromatic
 
 #: Refuse exhaustive semantics checks beyond this many internal vertices.
 DEFAULT_EXHAUSTION_BOUND = 24
@@ -143,9 +144,7 @@ def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:
     return all(t in members for w in handle.internal for t in g.out(w))
 
 
-def verify_or_semantics(
-    g: DiGraph, handle: GadgetHandle, *, max_internal: int = DEFAULT_EXHAUSTION_BOUND
-) -> SemanticsReport:
+def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
     """Exhaustively check the gadget's forcing behaviour.
 
     For each of the 2^k input precolorings (anchor colored 0, inputs
@@ -159,10 +158,10 @@ def verify_or_semantics(
     if not is_valid_gadget(g, handle):
         raise ValueError("gadget is not valid: internal out-edge leaves the gadget")
     internal = sorted(handle.internal)
-    if len(internal) > max_internal:
+    if len(internal) > DEFAULT_EXHAUSTION_BOUND:
         raise TooLarge(
             f"{len(internal)} internal vertices exceed the exhaustion bound "
-            f"{max_internal}"
+            f"{DEFAULT_EXHAUSTION_BOUND}"
         )
     members = sorted(handle.members)
     local = {v: i for i, v in enumerate(members)}
@@ -184,17 +183,10 @@ def verify_or_semantics(
         for mask in range(1 << len(internal)):
             for bit, w in enumerate(internal_local):
                 colors[w] = (mask >> bit) & 1
-            ok = True
             for w, outs in targets:
-                cw = colors[w]
-                mono = 0
-                for t in outs:
-                    if colors[t] == cw:
-                        mono += 1
-                if 2 * mono > len(outs):
-                    ok = False
+                if 2 * monochromatic(colors, w, outs) > len(outs):
                     break
-            if ok:
+            else:
                 extension_count += 1
                 output_truths.add(colors[output_local] == 0)
         output_truth = output_truths.pop() if len(output_truths) == 1 else None

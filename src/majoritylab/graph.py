@@ -211,11 +211,18 @@ def from_text(text: str) -> DiGraph:
     return from_text_with_names(text)[0]
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - {"vertex_count", "edges", "names"}
@@ -224,7 +231,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     if "vertex_count" not in doc or "edges" not in doc:
         raise ParseError("fields 'vertex_count' and 'edges' are required")
     vertex_count = doc["vertex_count"]
-    if not isinstance(vertex_count, int) or vertex_count < 0:
+    if not _is_int(vertex_count) or vertex_count < 0:
         raise ParseError("field 'vertex_count': expected a non-negative integer")
     if not isinstance(doc["edges"], list):
         raise ParseError("field 'edges': expected a list of [u, v] pairs")
@@ -233,7 +240,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(_is_int(x) for x in pair)
         ):
             raise ParseError(f"edges[{idx}]: expected an [u, v] integer pair")
         try:

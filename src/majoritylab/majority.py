@@ -1,7 +1,10 @@
 """Majority-coloring verification, greedy DAG 2-coloring, and enumeration.
 
 A coloring is a majority coloring when every vertex has at least as many
-bichromatic out-edges as monochromatic ones.  This module provides the
+bichromatic out-edges as monochromatic ones.  Every unweighted check in
+the package counts those edges with one predicate, :func:`monochromatic`,
+and both verifiers (this module's and the weighted multigraph one) return
+the same :class:`DeficiencyReport`.  This module provides the
 verifier (the ground truth every other routine is checked against), the
 folklore greedy 2-coloring of finite DAGs in reverse topological order,
 an iterative backtracking enumerator of all majority k-colorings that
@@ -30,11 +33,18 @@ class VertexCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class DeficiencyReport:
-    """Per-vertex monochromatic/bichromatic out-edge counts."""
+    """Per-vertex monochromatic/bichromatic out-edge counts (or weights)."""
 
     checks: tuple[VertexCheck, ...]
     satisfied: bool
     first_violation: int | None
+
+    @classmethod
+    def from_counts(cls, counts: Iterable[tuple[int, int]]) -> "DeficiencyReport":
+        """The report over per-vertex ``(mono, diff)`` pairs in vertex order."""
+        checks = tuple(VertexCheck(mono, diff, mono <= diff) for mono, diff in counts)
+        first = next((v for v, c in enumerate(checks) if not c.satisfied), None)
+        return cls(checks, first is None, first)
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,22 @@ class TruthView:
         return tuple(self.truth(v) for v in vertices)
 
 
+def monochromatic(
+    colors: Sequence[int], v: VertexId, targets: Iterable[VertexId]
+) -> int:
+    """How many of ``targets`` share ``v``'s color.
+
+    With ``targets`` the out-neighbors of ``v``, ``v`` meets the majority
+    condition iff twice this count is at most ``len(targets)``.
+    """
+    cv = colors[v]
+    mono = 0
+    for u in targets:
+        if colors[u] == cv:
+            mono += 1
+    return mono
+
+
 def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
     """Check the majority condition at every vertex.
 
@@ -70,29 +96,21 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
             f"graph has {g.vertex_count}"
         )
     colors = coloring.colors
-    checks: list[VertexCheck] = []
-    first: int | None = None
+    counts: list[tuple[int, int]] = []
     for v in range(g.vertex_count):
-        cv = colors[v]
-        mono = 0
         out = g.out(v)
-        for u in out:
-            if colors[u] == cv:
-                mono += 1
-        diff = len(out) - mono
-        ok = diff >= mono
-        checks.append(VertexCheck(mono, diff, ok))
-        if not ok and first is None:
-            first = v
-    return DeficiencyReport(tuple(checks), first is None, first)
+        mono = monochromatic(colors, v, out)
+        counts.append((mono, len(out) - mono))
+    return DeficiencyReport.from_counts(counts)
 
 
 def greedy_dag_2color(g: DiGraph) -> Coloring:
     """The folklore majority 2-coloring of a finite DAG.
 
     Vertices are processed in reverse topological order, so all
-    out-neighbors are already colored; each vertex takes the color with
-    the smaller monochromatic count, ties going to color 0.
+    out-neighbors are already colored; each vertex takes color 0 unless
+    that leaves it violated, and color 1 otherwise (the smaller
+    monochromatic count, ties going to color 0).
     """
     try:
         order = topological_sort(g)
@@ -100,9 +118,9 @@ def greedy_dag_2color(g: DiGraph) -> Coloring:
         raise NotADag(f"greedy 2-coloring needs a DAG: {e}") from e
     colors = [0] * g.vertex_count
     for v in reversed(order):
-        zeros = sum(1 for u in g.out(v) if colors[u] == 0)
-        ones = g.out_degree(v) - zeros
-        colors[v] = 0 if zeros <= ones else 1
+        out = g.out(v)
+        if 2 * monochromatic(colors, v, out) > len(out):
+            colors[v] = 1
     return Coloring(2, tuple(colors))
 
 
@@ -211,12 +229,7 @@ def _enumerate_search(
         next_choice[depth] = i + 1
         colors[order[depth]] = options[i]
         for w, targets in checks_at[depth]:
-            cw = colors[w]
-            mono = 0
-            for u in targets:
-                if colors[u] == cw:
-                    mono += 1
-            if 2 * mono > len(targets):
+            if 2 * monochromatic(colors, w, targets) > len(targets):
                 break
         else:
             depth += 1

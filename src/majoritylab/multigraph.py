@@ -3,7 +3,11 @@
 Parallel edges are represented by weights: adding an edge over an
 existing pair merges by summing, which subsumes multiplicity.  The
 majority condition compares, per vertex, the summed weight of
-bichromatic incident edges against the monochromatic ones.
+bichromatic incident edges against the monochromatic ones.  One helper
+computes that ``(mono, diff)`` weight pair; the verifier, the local
+search and the k-coloring probe all go through it, and the verifier
+returns the same :class:`~majoritylab.majority.DeficiencyReport` as the
+digraph verifier (unit weights give the unweighted counts).
 
 Finite instances are always majority 2-colorable: flipping any violated
 vertex strictly increases the total cut weight, so the local search
@@ -17,10 +21,11 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, OutOfRangeError, SelfLoopError
 from .graph import Coloring, VertexId
+from .majority import DeficiencyReport
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "MAJORITY_LAB_BUDGET"
@@ -104,48 +109,37 @@ class WeightedMultigraph:
         )
 
 
-class WeightedVertexCheck(NamedTuple):
-    mono_weight: int
-    diff_weight: int
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class WeightedReport:
-    checks: tuple[WeightedVertexCheck, ...]
-    satisfied: bool
-    first_violation: int | None
-
-
 @dataclass(frozen=True)
 class LocalSearchResult:
     coloring: Coloring
     flips: int
 
 
-def verify_weighted(mg: WeightedMultigraph, coloring: Coloring) -> WeightedReport:
+def _mono_diff(
+    mg: WeightedMultigraph, colors: Sequence[int], v: VertexId
+) -> tuple[int, int]:
+    """Incident weight of ``v`` inside its color class, and across it."""
+    cv = colors[v]
+    mono = 0
+    diff = 0
+    for u, w in mg.incident(v):
+        if colors[u] == cv:
+            mono += w
+        else:
+            diff += w
+    return mono, diff
+
+
+def verify_weighted(mg: WeightedMultigraph, coloring: Coloring) -> DeficiencyReport:
     """Per-vertex bichromatic vs monochromatic incident weight comparison."""
     if len(coloring.colors) != mg.vertex_count:
         raise ValueError(
             f"coloring covers {len(coloring.colors)} vertices, "
             f"multigraph has {mg.vertex_count}"
         )
-    colors = coloring.colors
-    checks: list[WeightedVertexCheck] = []
-    first: int | None = None
-    for v in range(mg.vertex_count):
-        mono = 0
-        diff = 0
-        for u, w in mg.incident(v):
-            if colors[u] == colors[v]:
-                mono += w
-            else:
-                diff += w
-        ok = diff >= mono
-        checks.append(WeightedVertexCheck(mono, diff, ok))
-        if not ok and first is None:
-            first = v
-    return WeightedReport(tuple(checks), first is None, first)
+    return DeficiencyReport.from_counts(
+        _mono_diff(mg, coloring.colors, v) for v in range(mg.vertex_count)
+    )
 
 
 def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
@@ -157,30 +151,26 @@ def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
     colors = [0] * mg.vertex_count
     flips = 0
     while True:
-        flipped = False
         for v in range(mg.vertex_count):
-            mono = 0
-            diff = 0
-            for u, w in mg.incident(v):
-                if colors[u] == colors[v]:
-                    mono += w
-                else:
-                    diff += w
+            mono, diff = _mono_diff(mg, colors, v)
             if mono > diff:
                 colors[v] = 1 - colors[v]
                 flips += 1
-                flipped = True
                 break
-        if not flipped:
+        else:
             return LocalSearchResult(Coloring(2, tuple(colors)), flips)
 
 
 def has_majority_k_coloring(mg: WeightedMultigraph, k: int) -> bool:
-    """Brute force over all k^V assignments."""
+    """Brute force over all k^V assignments, each dropped at its first violation."""
     if k < 1:
         raise ValueError("palette size must be positive")
     for combo in itertools.product(range(k), repeat=mg.vertex_count):
-        if verify_weighted(mg, Coloring(k, combo)).satisfied:
+        for v in range(mg.vertex_count):
+            mono, diff = _mono_diff(mg, combo, v)
+            if mono > diff:
+                break
+        else:
             return True
     return False
 

@@ -1,5 +1,9 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,39 @@ class TestUsage:
 
     def test_tiny_depth_rejected(self):
         assert run(["counterexample", "build", "--n", "1"])[0] == 2
+
+    def test_seed_flag_rejected(self):
+        code, out, err = run(["--seed", "7", "counterexample", "build", "--n", "3"])
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"vertex_count": true, "edges": []}',
+            '{"vertex_count": 3, "edges": [[true, 2]]}',
+        ],
+        ids=["deep-nesting", "bool-vertex-count", "bool-edge-end"],
+    )
+    def test_malformed_graph_file_is_a_usage_error(self, tmp_path, text):
+        # Out of process, so an uncaught exception would show as exit 1
+        # (the "property violated" code) plus a traceback.
+        f = tmp_path / "bad.json"
+        f.write_text(text, encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "majoritylab", "majority", "enumerate", str(f),
+             "--colors", "2"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestMajorityCommands:
@@ -146,6 +183,12 @@ class TestGadgetCommands:
             "TT,true,true,true",
         ]
         assert "is_or: true" in err
+
+    def test_verify_past_exhaustion_bound(self):
+        code, out, err = run(["gadget", "verify", "--inputs", "8"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: 28 internal vertices exceed the exhaustion bound 24\n"
 
     def test_dot_parses_back(self):
         code, out, _ = run(["gadget", "dot", "--inputs", "3"])
@@ -266,7 +309,3 @@ class TestDeterminism:
         first = run(argv)
         second = run(argv)
         assert first == second
-
-    def test_seed_flag_accepted_without_effect(self):
-        argv = ["counterexample", "build", "--n", "3"]
-        assert run(["--seed", "7"] + argv) == run(["--seed", "8"] + argv) == run(argv)

@@ -5,6 +5,7 @@ import pytest
 
 from majoritylab.errors import ChainTooShort, NotUnique, TooLarge
 from majoritylab.gadgets import (
+    DEFAULT_EXHAUSTION_BOUND,
     build_or2,
     build_or_chain,
     forced_extension,
@@ -126,9 +127,12 @@ class TestSemanticsOracle:
         assert all(o.extension_unique for o in report.outcomes)
 
     def test_exhaustion_bound(self):
-        g, handle = fresh_chain(3)
-        with pytest.raises(TooLarge):
-            verify_or_semantics(g, handle, max_internal=4)
+        # 7 stages, 28 internal vertices: refused before enumerating 2^36
+        # assignments, so this returns at once.
+        g, handle = fresh_chain(8)
+        assert len(handle.internal) == 28 > DEFAULT_EXHAUSTION_BOUND
+        with pytest.raises(TooLarge, match="28 internal vertices exceed"):
+            verify_or_semantics(g, handle)
 
     def test_negators_oppose_their_target(self):
         g, handle = fresh_chain(2)
