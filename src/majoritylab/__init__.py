@@ -16,7 +16,6 @@ from .errors import (
     ChainTooShort,
     CycleFound,
     DuplicateEdgeError,
-    ExtensionConflict,
     MajorityLabError,
     NotADag,
     NotUnique,
@@ -40,6 +39,7 @@ from .gadgets import (
     verify_or_semantics,
 )
 from .graph import (
+    MAX_VERTICES,
     Coloring,
     DiGraph,
     TripletLabel,
@@ -52,7 +52,6 @@ from .graph import (
     topological_sort,
 )
 from .infinite import (
-    ExtendedCount,
     SupportColoring,
     SupportMode,
     SweepEntry,

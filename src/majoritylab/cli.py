@@ -18,6 +18,7 @@ from . import counterexample as cx
 from . import gadgets, infinite, majority, multigraph
 from .errors import MajorityLabError, ParseError, SweepFailure
 from .graph import (
+    MAX_VERTICES,
     Coloring,
     DiGraph,
     from_dot,
@@ -72,7 +73,11 @@ def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> C
 
 
 def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
-    """Multigraph file: one 'u v w' triple per line; repeated pairs merge."""
+    """Multigraph file: one 'u v w' triple per line; repeated pairs merge.
+
+    Vertex ids must stay below ``MAX_VERTICES``: the graph is sized by the
+    largest one.
+    """
     triples: list[tuple[int, int, int]] = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -90,8 +95,12 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
             raise ParseError(f"line {lineno}: vertex ids must be non-negative")
         if w < 1:
             raise ParseError(f"line {lineno}: weight must be positive")
-        triples.append((u, v, w))
         top = max(top, u, v)
+        if top >= MAX_VERTICES:
+            raise ParseError(
+                f"line {lineno}: vertex id {top} exceeds the cap {MAX_VERTICES}"
+            )
+        triples.append((u, v, w))
     mg = multigraph.WeightedMultigraph(top + 1)
     for u, v, w in triples:
         mg.add_edge(u, v, w)

@@ -65,11 +65,13 @@ def build_truncation(n: int) -> tuple[DiGraph, TruncationSpec]:
 
 
 def truncation_extension(g: DiGraph, spec: TruncationSpec):
-    """Forced-extension rule for enumerating over path + anchor only.
+    """The forced-extension rule of the test suite's enumeration oracle.
 
     Maps an assignment of the path vertices and the anchor to the total
     assignment in which every gadget's internals carry their forced truth
-    values.
+    values.  The oracle enumerates path and anchor colorings, extends each
+    with this rule and keeps those ``verify`` accepts; the search engine
+    never calls it, which keeps the cross-check independent.
     """
 
     def rule(assignment: Mapping[int, int]) -> list[int]:

@@ -39,10 +39,6 @@ class NotADag(MajorityLabError):
     """An operation requiring an acyclic graph was given a cyclic one."""
 
 
-class ExtensionConflict(MajorityLabError):
-    """A forced-extension rule could not produce a unique extension."""
-
-
 class ChainTooShort(MajorityLabError):
     """A chained gadget needs at least two inputs."""
 

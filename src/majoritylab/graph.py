@@ -30,6 +30,11 @@ from .errors import (
 
 VertexId = int
 
+#: Largest vertex count a parsed file may declare; the adjacency lists of a
+#: graph this size take about 64 MB.  Edge memory needs no cap: it grows
+#: with the size of the file itself.
+MAX_VERTICES = 1_000_000
+
 
 class TripletLabel(NamedTuple):
     """A label in N^3; tuple comparison gives the strict lexicographic order."""
@@ -233,6 +238,10 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     vertex_count = doc["vertex_count"]
     if not _is_int(vertex_count) or vertex_count < 0:
         raise ParseError("field 'vertex_count': expected a non-negative integer")
+    if vertex_count > MAX_VERTICES:
+        raise ParseError(
+            f"field 'vertex_count': {vertex_count} exceeds the cap {MAX_VERTICES}"
+        )
     if not isinstance(doc["edges"], list):
         raise ParseError("field 'edges': expected a list of [u, v] pairs")
     g = DiGraph(vertex_count)

@@ -6,63 +6,19 @@ false (mode ``finite-false``), all others taking the opposite value.
 For such a description the truth profile over any path vertex's
 out-neighborhood (its successor plus the outputs of every gadget hooked
 up to it) has a closed form with at most finitely many exceptions, so
-the majority condition can be evaluated with counts extended by a
-countably-infinite marker.  Positions beyond the support behave
+the majority condition can be evaluated with counts that are integers
+or ``math.inf`` (countably many).  Positions beyond the support behave
 identically, which makes a finite sweep over positions exhaustive.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SweepFailure
-
-
-@dataclass(frozen=True)
-class ExtendedCount:
-    """A non-negative count or the countably-infinite marker.
-
-    Addition saturates at infinity.  Comparison ``a >= b`` is false only
-    when ``a`` is finite while ``b`` is infinite or numerically larger;
-    in particular two infinite counts compare as equal (the cardinality
-    reading of ">=").  That both-infinite convention is a choice made
-    here - nothing else in the package relies on it.
-    """
-
-    value: int | None  # None encodes countably infinite
-
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < 0:
-            raise ValueError("counts are non-negative")
-
-    @classmethod
-    def finite(cls, n: int) -> "ExtendedCount":
-        return cls(n)
-
-    @classmethod
-    def infinite(cls) -> "ExtendedCount":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "ExtendedCount") -> "ExtendedCount":
-        if self.is_infinite or other.is_infinite:
-            return ExtendedCount(None)
-        return ExtendedCount(self.value + other.value)
-
-    def __ge__(self, other: "ExtendedCount") -> bool:
-        if self.is_infinite:
-            return True
-        if other.is_infinite:
-            return False
-        return self.value >= other.value
-
-    def __repr__(self) -> str:
-        return "inf" if self.is_infinite else str(self.value)
 
 
 class SupportMode(Enum):
@@ -100,14 +56,15 @@ class SupportColoring:
 
 def out_profile(
     position: int, d: SupportColoring
-) -> tuple[ExtendedCount, ExtendedCount]:
+) -> tuple[int | float, int | float]:
     """(true_count, false_count) over v_position's out-neighbors in the full graph.
 
     The out-neighbors are the successor v_{position+1} and, for every
     j >= position+2, the output of the gadget over (v_{position+1}, ..., v_j),
     whose truth is the OR of the truths on that interval.  Once j passes
     the support, the output truth is constant, so one of the two counts
-    is always infinite.
+    is always ``math.inf``.  Two infinite counts compare equal under
+    ``>=``, the cardinality reading of the majority condition.
     """
     if position < 1:
         raise ValueError("path positions are 1-based")
@@ -116,20 +73,20 @@ def out_profile(
         later = [p for p in d.support if p >= position + 1]
         if not later:
             # Every out-neighbor is false.
-            return ExtendedCount.finite(0), ExtendedCount.infinite()
+            return 0, math.inf
         first_true = min(later)
         # Outputs with j >= first_true are true; those with j < first_true
         # see an all-false interval.
         false_outputs = max(0, first_true - position - 2)
         false_count = false_outputs + (0 if succ_true else 1)
-        return ExtendedCount.infinite(), ExtendedCount.finite(false_count)
+        return math.inf, false_count
     # finite-false: an output is false only while its whole interval sits
     # inside the support, i.e. for the consecutive run starting at
     # position+1; everything after the run is true.
     run = 0
     while position + 1 + run in d.support:
         run += 1
-    return ExtendedCount.infinite(), ExtendedCount.finite(run)
+    return math.inf, run
 
 
 def check_symbolic(d: SupportColoring) -> int | None:

@@ -11,18 +11,20 @@ an iterative backtracking enumerator of all majority k-colorings that
 colors sinks first and prunes each vertex as soon as it is checkable, a
 deliberately naive brute-force oracle, and the feasible-prefix experiment
 over the counterexample truncations, which runs on the same enumerator.
+The enumerator is the package's one search engine, with the single
+signature ``enumerate_majority_colorings(g, palette_size, fixed=None)``;
+the gadgets' forced-extension rule is not an enumeration mode, the tests
+keep it as an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CycleFound, ExtensionConflict, NotADag, NotUnique
+from .errors import CycleFound, NotADag
 from .graph import Coloring, DiGraph, VertexId, topological_sort
-
-ExtensionRule = Callable[[Mapping[int, int]], Sequence[int]]
 
 
 class VertexCheck(NamedTuple):
@@ -129,67 +131,31 @@ def project(coloring: Coloring, vertices: Sequence[VertexId]) -> tuple[int, ...]
     return tuple(coloring.colors[v] for v in vertices)
 
 
-def _normalize_free(
-    g: DiGraph,
-    free: Iterable[VertexId] | None,
-    fixed: Mapping[VertexId, int] | None,
-) -> tuple[list[int], dict[int, int]]:
-    fixed = dict(fixed or {})
-    if free is None:
-        free_list = [v for v in range(g.vertex_count) if v not in fixed]
-    else:
-        free_list = sorted(set(free))
-    for v in free_list:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"free vertex {v} out of range")
-        if v in fixed:
-            raise ValueError(f"vertex {v} is both free and fixed")
-    for v in fixed:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"fixed vertex {v} out of range")
-    return free_list, fixed
-
-
 def enumerate_majority_colorings(
     g: DiGraph,
     palette_size: int,
-    free: Iterable[VertexId] | None = None,
-    extend: ExtensionRule | None = None,
     fixed: Mapping[VertexId, int] | None = None,
 ) -> list[Coloring]:
-    """All majority colorings, ordered lexicographically over the free vertices.
+    """All majority colorings, in lexicographic order of their color tuples.
 
-    Without an extension rule, ``free`` plus ``fixed`` must cover every
-    vertex.  The search backtracks with an explicit stack, so its depth is
-    not bounded by the interpreter's recursion limit.  It assigns vertices
-    in reverse topological order (id order when the graph has a cycle) and
-    prunes a branch as soon as some vertex with all out-neighbors assigned
-    fails the majority condition; the solutions are then sorted.
-
-    With an extension rule, only the free and fixed vertices are assigned
-    explicitly; the rule maps each such assignment to a total assignment
-    (gadget internals forced), which is kept iff it passes :func:`verify`.
-    A rule that reports non-uniqueness surfaces as ExtensionConflict.
+    ``fixed`` pins the color of some vertices; every other vertex ranges
+    over the palette.  The search backtracks with an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit.  It
+    assigns vertices in reverse topological order (id order when the graph
+    has a cycle) and prunes a branch as soon as some vertex with all
+    out-neighbors assigned fails the majority condition; the solutions are
+    then sorted.  The forced-extension rule of the OR gadgets is not
+    consulted here: the tests keep it as an independent cross-check.
     """
     if palette_size < 1:
         raise ValueError("palette_size must be positive")
-    free_list, fixed_map = _normalize_free(g, free, fixed)
-    if extend is None:
-        if len(free_list) + len(fixed_map) != g.vertex_count:
-            raise ValueError(
-                "without an extension rule, free plus fixed must cover all vertices"
-            )
-        return _enumerate_search(g, palette_size, fixed_map)
-    return _enumerate_with_extension(g, palette_size, free_list, fixed_map, extend)
-
-
-def _enumerate_search(
-    g: DiGraph, k: int, fixed_map: dict[int, int]
-) -> list[Coloring]:
-    for v, c in fixed_map.items():
-        if not 0 <= c < k:
-            raise ValueError(f"fixed color {c} for vertex {v} outside palette")
     n = g.vertex_count
+    fixed = dict(fixed or {})
+    for v, c in fixed.items():
+        if not 0 <= v < n:
+            raise ValueError(f"fixed vertex {v} out of range")
+        if not 0 <= c < palette_size:
+            raise ValueError(f"fixed color {c} for vertex {v} outside palette")
     # Sinks first: on a DAG every vertex is checkable the moment it is
     # colored, so a violation prunes at once.  A cycle leaves id order.
     try:
@@ -207,8 +173,8 @@ def _enumerate_search(
         if targets:
             last = max(depth_of[v], max(depth_of[u] for u in targets))
             checks_at[last].append((v, targets))
-    palette = tuple(range(k))
-    choices = [(fixed_map[v],) if v in fixed_map else palette for v in order]
+    palette = tuple(range(palette_size))
+    choices = [(fixed[v],) if v in fixed else palette for v in order]
     colors = [-1] * n
     # next_choice[d] is the index of the next color to try at depth d; the
     # depths 0..depth form the explicit search stack.
@@ -234,32 +200,7 @@ def _enumerate_search(
         else:
             depth += 1
     found.sort()
-    return [Coloring(k, row) for row in found]
-
-
-def _enumerate_with_extension(
-    g: DiGraph,
-    k: int,
-    free_list: list[int],
-    fixed_map: dict[int, int],
-    extend: ExtensionRule,
-) -> list[Coloring]:
-    results: list[Coloring] = []
-    for combo in itertools.product(range(k), repeat=len(free_list)):
-        assignment = dict(zip(free_list, combo))
-        assignment.update(fixed_map)
-        try:
-            full = extend(assignment)
-        except NotUnique as e:
-            raise ExtensionConflict(f"extension rule reported non-uniqueness: {e}") from e
-        if len(full) != g.vertex_count:
-            raise ExtensionConflict(
-                f"extension returned {len(full)} colors for {g.vertex_count} vertices"
-            )
-        candidate = Coloring(k, tuple(full))
-        if verify(g, candidate).satisfied:
-            results.append(candidate)
-    return results
+    return [Coloring(palette_size, row) for row in found]
 
 
 def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Coloring]:

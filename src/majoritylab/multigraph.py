@@ -68,11 +68,6 @@ class WeightedMultigraph:
         self._adj[u][v] = self._adj[u].get(v, 0) + weight
         self._adj[v][u] = self._adj[v].get(u, 0) + weight
 
-    def weight(self, u: VertexId, v: VertexId) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self._adj[u].get(v, 0)
-
     def incident(self, v: VertexId) -> list[tuple[VertexId, int]]:
         self._check_vertex(v)
         return sorted(self._adj[v].items())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
 
-from majoritylab.graph import DiGraph
+from majoritylab.counterexample import truncation_extension
+from majoritylab.graph import Coloring, DiGraph
+from majoritylab.majority import verify
 from majoritylab.multigraph import WeightedMultigraph
 
 
@@ -36,6 +39,25 @@ def random_multigraph(
             if rng.random() < edge_prob:
                 mg.add_edge(i, j, rng.randint(1, max_weight))
     return mg
+
+
+def extension_rule_colorings(g, spec, anchor_colors=(0, 1)):
+    """Majority 2-colorings of a truncation by the forced-extension rule.
+
+    The oracle colors the path and the anchor in every way, fills the
+    gadget internals with ``truncation_extension`` and keeps each coloring
+    that ``verify`` accepts.  It shares no code with the search engine.
+    """
+    rule = truncation_extension(g, spec)
+    found = []
+    for anchor_color in anchor_colors:
+        for combo in itertools.product((0, 1), repeat=len(spec.path)):
+            assignment = dict(zip(spec.path, combo))
+            assignment[spec.anchor] = anchor_color
+            coloring = Coloring(2, rule(assignment))
+            if verify(g, coloring).satisfied:
+                found.append(coloring)
+    return sorted(found, key=lambda c: c.colors)
 
 
 @st.composite

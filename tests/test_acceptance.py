@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from helpers import random_dag, random_multigraph
+from helpers import extension_rule_colorings, random_dag, random_multigraph
 from majoritylab.cli import dispatch
 from majoritylab.counterexample import (
     build_truncation,
@@ -112,11 +112,12 @@ def test_criterion_5_enumeration_oracle_equivalence():
     """Pruned backtracking matches brute force, and the gadget extension
     rule matches full brute force on the depth-3 truncation."""
     g3, spec3 = build_truncation(3)
-    free = list(spec3.path) + [spec3.anchor]
-    rule = truncation_extension(g3, spec3)
-    with_rule = enumerate_majority_colorings(g3, 2, free=free, extend=rule)
+    path_and_anchor = list(spec3.path) + [spec3.anchor]
+    with_rule = extension_rule_colorings(g3, spec3)
     full = brute_force_majority_colorings(g3, 2)
-    assert {project(c, free) for c in with_rule} == {project(c, free) for c in full}
+    assert {project(c, path_and_anchor) for c in with_rule} == {
+        project(c, path_and_anchor) for c in full
+    }
     assert [c.colors for c in enumerate_majority_colorings(g3, 2)] == [
         c.colors for c in full
     ]

@@ -1,6 +1,7 @@
 import io
 import contextlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,9 @@ def path_graph_file(tmp_path):
     path = tmp_path / "path.json"
     path.write_text(to_text(g), encoding="utf-8")
     return path
+
+
+ENUMERATE = "majority enumerate FILE --colors 2"
 
 
 class TestUsage:
@@ -68,26 +72,38 @@ class TestUsage:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "text",
+        "command, text",
         [
-            "[" * 100_000,
-            '{"vertex_count": true, "edges": []}',
-            '{"vertex_count": 3, "edges": [[true, 2]]}',
+            (ENUMERATE, "[" * 100_000),
+            (ENUMERATE, '{"vertex_count": true, "edges": []}'),
+            (ENUMERATE, '{"vertex_count": 3, "edges": [[true, 2]]}'),
+            (ENUMERATE, '{"vertex_count": 2000000000, "edges": []}'),
+            ("multigraph solve FILE", "0 1000000000 1\n"),
         ],
-        ids=["deep-nesting", "bool-vertex-count", "bool-edge-end"],
+        ids=[
+            "deep-nesting",
+            "bool-vertex-count",
+            "bool-edge-end",
+            "huge-vertex-count",
+            "huge-multigraph-id",
+        ],
     )
-    def test_malformed_graph_file_is_a_usage_error(self, tmp_path, text):
+    def test_malformed_graph_file_is_a_usage_error(self, tmp_path, command, text):
         # Out of process, so an uncaught exception would show as exit 1
-        # (the "property violated" code) plus a traceback.
-        f = tmp_path / "bad.json"
+        # (the "property violated" code) plus a traceback.  The address-space
+        # limit makes an oversized allocation fail fast in the child instead
+        # of exhausting the machine.
+        f = tmp_path / "bad.txt"
         f.write_text(text, encoding="utf-8")
         src = Path(__file__).resolve().parent.parent / "src"
+        limit = 400 * 2**20
+        argv = [str(f) if arg == "FILE" else arg for arg in command.split()]
         proc = subprocess.run(
-            [sys.executable, "-m", "majoritylab", "majority", "enumerate", str(f),
-             "--colors", "2"],
+            [sys.executable, "-m", "majoritylab", *argv],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=str(src)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")

@@ -1,9 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from majoritylab.infinite import (
-    ExtendedCount,
     SupportColoring,
     SupportMode,
     check_symbolic,
@@ -12,9 +13,6 @@ from majoritylab.infinite import (
 )
 from majoritylab.majority import feasible_prefix_set
 
-FIN = ExtendedCount.finite
-INF = ExtendedCount.infinite
-
 
 def true_support(*positions):
     return SupportColoring(SupportMode.FINITE_TRUE, frozenset(positions))
@@ -22,29 +20,6 @@ def true_support(*positions):
 
 def false_support(*positions):
     return SupportColoring(SupportMode.FINITE_FALSE, frozenset(positions))
-
-
-class TestExtendedCount:
-    def test_addition(self):
-        assert FIN(2) + FIN(3) == FIN(5)
-        assert (FIN(2) + INF()).is_infinite
-        assert (INF() + INF()).is_infinite
-
-    def test_comparison(self):
-        assert FIN(3) >= FIN(3)
-        assert not FIN(2) >= FIN(3)
-        assert INF() >= FIN(10**9)
-        assert not FIN(10**9) >= INF()
-        # Two infinite counts compare as equal.
-        assert INF() >= INF()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FIN(-1)
-
-    @given(st.integers(0, 1000), st.integers(0, 1000))
-    def test_consistent_with_integer_order(self, a, b):
-        assert (FIN(a) >= FIN(b)) == (a >= b)
 
 
 class TestSupportColoring:
@@ -66,25 +41,25 @@ class TestOutProfile:
     def test_all_false(self):
         d = true_support()
         for i in (1, 2, 17):
-            assert out_profile(i, d) == (FIN(0), INF())
+            assert out_profile(i, d) == (0, math.inf)
 
     def test_single_true_ahead(self):
         # Outputs reaching position 5 are true; the two shorter ones and
         # the successor are false.
-        assert out_profile(1, true_support(5)) == (INF(), FIN(3))
+        assert out_profile(1, true_support(5)) == (math.inf, 3)
 
     def test_single_true_at_successor(self):
-        assert out_profile(4, true_support(5)) == (INF(), FIN(0))
+        assert out_profile(4, true_support(5)) == (math.inf, 0)
 
     def test_all_true(self):
         d = false_support()
         for i in (1, 3):
-            assert out_profile(i, d) == (INF(), FIN(0))
+            assert out_profile(i, d) == (math.inf, 0)
 
     def test_false_run_counts(self):
         # Positions 2,3,4 false: from position 1 the successor and the
         # output over (2..3) and (2..4) are false.
-        assert out_profile(1, false_support(2, 3, 4)) == (INF(), FIN(3))
+        assert out_profile(1, false_support(2, 3, 4)) == (math.inf, 3)
 
     def test_stationary_beyond_support(self):
         for d in (true_support(2, 5), false_support(1, 3)):
@@ -115,14 +90,14 @@ class TestOutProfile:
         horizon = d.stationary_from + position + 10
         t1, f1 = direct_counts(horizon)
         t2, f2 = direct_counts(horizon + 7)
-        if true_count.is_infinite:
+        if true_count == math.inf:
             assert t2 > t1
         else:
-            assert t1 == t2 == true_count.value
-        if false_count.is_infinite:
+            assert t1 == t2 == true_count
+        if false_count == math.inf:
             assert f2 > f1
         else:
-            assert f1 == f2 == false_count.value
+            assert f1 == f2 == false_count
 
 
 class TestCheckSymbolic:

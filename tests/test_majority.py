@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dags, digraphs, random_dag
-from majoritylab.counterexample import build_truncation, truncation_extension
-from majoritylab.errors import ExtensionConflict, NotADag, NotUnique, PaletteMismatch
+from helpers import dags, digraphs, extension_rule_colorings, random_dag
+from majoritylab.counterexample import build_truncation
+from majoritylab.errors import NotADag, PaletteMismatch
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import (
     TruthView,
@@ -142,27 +142,15 @@ class TestEnumerate:
         result = enumerate_majority_colorings(DiGraph(1), 1)
         assert [c.colors for c in result] == [(0,)]
 
-    def test_free_must_cover_without_rule(self):
-        g = DiGraph(2)
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            enumerate_majority_colorings(g, 2, free=[0])
-
     def test_fixed_vertices_pin_colors(self):
         g = DiGraph(2)
         g.add_edge(0, 1)
-        result = enumerate_majority_colorings(g, 2, free=[1], fixed={0: 0})
+        result = enumerate_majority_colorings(g, 2, fixed={0: 0})
         assert [c.colors for c in result] == [(0, 1)]
-
-    def test_extension_conflict_surfaces(self):
-        g = DiGraph(2)
-        g.add_edge(0, 1)
-
-        def bad_rule(assignment):
-            raise NotUnique("no closed form")
-
-        with pytest.raises(ExtensionConflict):
-            enumerate_majority_colorings(g, 2, free=[0, 1], extend=bad_rule)
+        with pytest.raises(ValueError, match="out of range"):
+            enumerate_majority_colorings(g, 2, fixed={2: 0})
+        with pytest.raises(ValueError, match="outside palette"):
+            enumerate_majority_colorings(g, 2, fixed={0: 2})
 
     # Graphs with cycles have no topological order; the search uses id order.
     @given(st.one_of(dags(max_vertices=7), digraphs(max_vertices=7)), st.integers(2, 3))
@@ -191,8 +179,7 @@ class TestEnumerate:
         if g.vertex_count == 0:
             return
         pinned = g.vertex_count - 1
-        free = [v for v in range(g.vertex_count) if v != pinned]
-        fixed = enumerate_majority_colorings(g, 2, free=free, fixed={pinned: 0})
+        fixed = enumerate_majority_colorings(g, 2, fixed={pinned: 0})
         unfixed = enumerate_majority_colorings(g, 2)
         expected = [c.colors for c in unfixed if c.colors[pinned] == 0]
         assert [c.colors for c in fixed] == expected
@@ -210,12 +197,11 @@ class TestEnumerate:
 
     def test_truncation_extension_matches_full_brute_force(self):
         g, spec = build_truncation(3)
-        free = list(spec.path) + [spec.anchor]
-        rule = truncation_extension(g, spec)
-        with_rule = enumerate_majority_colorings(g, 2, free=free, extend=rule)
+        path_and_anchor = list(spec.path) + [spec.anchor]
+        with_rule = extension_rule_colorings(g, spec)
         full = brute_force_majority_colorings(g, 2)
-        assert {project(c, free) for c in with_rule} == {
-            project(c, free) for c in full
+        assert {project(c, path_and_anchor) for c in with_rule} == {
+            project(c, path_and_anchor) for c in full
         }
         # The rule reproduces entire colorings, not just projections.
         assert {c.colors for c in with_rule} == {c.colors for c in full}
@@ -245,16 +231,22 @@ class TestFeasiblePrefixSet:
         for n, want in expected.items():
             assert feasible_prefix_set(n, 3) == want, f"depth {n}"
 
+    def test_path_level_solution_count(self):
+        # Measured, not proved, like the table above: with the anchor's
+        # color pinned, G_n has exactly ceil((n + 2) / 2) majority
+        # 2-colorings for n = 2..32.
+        for n in range(2, 33):
+            g, spec = build_truncation(n)
+            solutions = enumerate_majority_colorings(g, 2, fixed={spec.anchor: 0})
+            assert len(solutions) == (n + 3) // 2, f"depth {n}"
+
     def test_search_matches_extension_rule_on_truncations(self):
         # The search forces gadget internals by pruning; the extension rule
         # fills them from the closed form.  Both must give the same colorings.
         for n in range(2, 9):
             g, spec = build_truncation(n)
             searched = enumerate_majority_colorings(g, 2, fixed={spec.anchor: 0})
-            by_rule = enumerate_majority_colorings(
-                g, 2, free=spec.path, fixed={spec.anchor: 0},
-                extend=truncation_extension(g, spec),
-            )
+            by_rule = extension_rule_colorings(g, spec, anchor_colors=(0,))
             assert [c.colors for c in searched] == [c.colors for c in by_rule], n
 
     def test_every_truncation_is_feasible(self):

@@ -1,15 +1,27 @@
-"""The benchmark's tracer must still find every function it wraps.
+"""The package must still fit what the benchmark expects of it.
 
 ``bench/spans.py`` looks up each ``(module, function)`` in ``WRAPPED`` by
-name when a traced run starts; a renamed or removed function would only
-surface there.  This test catches it with the fast suite.
+name when a traced run starts, and the cli-pipeline workload compares CLI
+stdout with the SHA-256 digests in ``bench/golden.json``.  A renamed
+function or a changed byte of output would only surface there; these
+tests catch both with the fast suite.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+import pytest
+
+from majoritylab.cli import dispatch
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
 
 
 def test_every_wrapped_function_exists():
@@ -20,3 +32,12 @@ def test_every_wrapped_function_exists():
     for module_name, attr, _, _ in spans.WRAPPED:
         module = importlib.import_module(f"majoritylab.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN))
+def test_cli_stdout_matches_golden_digest(line):
+    code, digest = GOLDEN[line]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch(line.split()) == code
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
