@@ -66,7 +66,11 @@ def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> C
         entries[v] = c
     missing = [v for v in range(vertex_count) if v not in entries]
     if missing:
-        raise ParseError(f"coloring is not total: missing vertices {missing}")
+        more = ", ..." if len(missing) > 10 else ""
+        raise ParseError(
+            f"coloring is not total: {len(missing)} vertices missing: "
+            f"{', '.join(map(str, missing[:10]))}{more}"
+        )
     if palette_size is None:
         palette_size = max(entries.values(), default=0) + 1
     return Coloring(palette_size, tuple(entries[v] for v in range(vertex_count)))

@@ -23,8 +23,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CycleFound, NotADag
+from .errors import CycleFound, NotADag, TooLarge
 from .graph import Coloring, DiGraph, VertexId, topological_sort
+
+#: Most vertex colors the enumerator stores over all its solutions before
+#: it refuses with ``TooLarge``: about 36 MB of color tuples.  A cap on the
+#: solution count alone would still let a wide graph exhaust memory.
+MAX_STORED_COLORS = 2**22
 
 
 class VertexCheck(NamedTuple):
@@ -144,8 +149,10 @@ def enumerate_majority_colorings(
     assigns vertices in reverse topological order (id order when the graph
     has a cycle) and prunes a branch as soon as some vertex with all
     out-neighbors assigned fails the majority condition; the solutions are
-    then sorted.  The forced-extension rule of the OR gadgets is not
-    consulted here: the tests keep it as an independent cross-check.
+    then sorted.  Solutions that would hold more than ``MAX_STORED_COLORS``
+    vertex colors in all raise ``TooLarge`` rather than fill memory.  The
+    forced-extension rule of the OR gadgets is not consulted here: the
+    tests keep it as an independent cross-check.
     """
     if palette_size < 1:
         raise ValueError("palette_size must be positive")
@@ -180,9 +187,15 @@ def enumerate_majority_colorings(
     # depths 0..depth form the explicit search stack.
     next_choice = [0] * n
     found: list[tuple[int, ...]] = []
+    max_solutions = MAX_STORED_COLORS // max(n, 1)
     depth = 0
     while depth >= 0:
         if depth == n:
+            if len(found) == max_solutions:
+                raise TooLarge(
+                    f"more than {max_solutions} majority colorings of {n} vertices; "
+                    "enumeration refused"
+                )
             found.append(tuple(colors))
             depth -= 1
             continue
@@ -204,19 +217,25 @@ def enumerate_majority_colorings(
 
 
 def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Coloring]:
-    """Oracle: every total assignment, filtered by the verifier.
+    """Oracle: every total assignment, filtered by the majority condition.
 
     Exponential in the vertex count; meant for graphs small enough to
     exhaust.  The 2-color path counts monochromatic out-edges with
-    bitmask popcounts but still visits all 2^V assignments.
+    bitmask popcounts but still visits all 2^V assignments.  Any other
+    palette visits all k^V assignments in id order, with no pruning of
+    partial assignments, and drops each at its first violated vertex; only
+    the solutions become colorings.
     """
     if palette_size == 2:
         return _brute_force_two_colors(g)
+    checks = [(v, out) for v in range(g.vertex_count) if (out := g.out(v))]
     results = []
     for combo in itertools.product(range(palette_size), repeat=g.vertex_count):
-        candidate = Coloring(palette_size, combo)
-        if verify(g, candidate).satisfied:
-            results.append(candidate)
+        for v, out in checks:
+            if 2 * monochromatic(combo, v, out) > len(out):
+                break
+        else:
+            results.append(Coloring(palette_size, combo))
     return results
 
 

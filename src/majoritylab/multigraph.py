@@ -17,6 +17,7 @@ looks for small instances with no majority k-coloring at all.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -142,18 +143,38 @@ def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
 
     Starts all-zero.  Every flip strictly increases the cut weight, which
     is bounded by the total weight, so at most total_weight flips occur.
+    The search is incremental: each vertex keeps its balance ``diff - mono``
+    and a min-heap holds the violated vertices (stale entries are skipped
+    when popped).  A flip negates the flipped vertex's balance and moves
+    each neighbor's by twice the edge weight, so a step costs one
+    neighborhood rather than a rescan of the graph, and the flip order is
+    exactly that of rescanning from vertex 0 after every flip.
     """
-    colors = [0] * mg.vertex_count
+    n = mg.vertex_count
+    colors = [0] * n
+    incident = [mg.incident(v) for v in range(n)]
+    balance = []
+    for v in range(n):
+        mono, diff = _mono_diff(mg, colors, v)
+        balance.append(diff - mono)
+    violated = [v for v in range(n) if balance[v] < 0]  # sorted, so a heap
     flips = 0
-    while True:
-        for v in range(mg.vertex_count):
-            mono, diff = _mono_diff(mg, colors, v)
-            if mono > diff:
-                colors[v] = 1 - colors[v]
-                flips += 1
-                break
-        else:
-            return LocalSearchResult(Coloring(2, tuple(colors)), flips)
+    while violated:
+        v = heapq.heappop(violated)
+        if balance[v] >= 0:
+            continue
+        cv = colors[v] = 1 - colors[v]
+        balance[v] = -balance[v]
+        flips += 1
+        for u, w in incident[v]:
+            if colors[u] != cv:
+                balance[u] += 2 * w
+                continue
+            before = balance[u]
+            balance[u] = before - 2 * w
+            if balance[u] < 0 <= before:
+                heapq.heappush(violated, u)
+    return LocalSearchResult(Coloring(2, tuple(colors)), flips)
 
 
 def has_majority_k_coloring(mg: WeightedMultigraph, k: int) -> bool:

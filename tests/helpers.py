@@ -41,6 +41,35 @@ def random_multigraph(
     return mg
 
 
+def seeded_multigraph(seed: int) -> WeightedMultigraph:
+    """The seeded 300-vertex instance the local search's output is pinned on."""
+    rng = random.Random(seed)
+    mg = WeightedMultigraph(300)
+    for _ in range(3000):
+        u, v = rng.sample(range(300), 2)
+        mg.add_edge(u, v, rng.randint(1, 5))
+    return mg
+
+
+def rescan_local_search(mg: WeightedMultigraph) -> tuple[int, tuple[int, ...]]:
+    """Oracle: flip the smallest violated vertex, rescanning from 0 each time.
+
+    Returns ``(flips, colors)``.  It recounts every vertex's incident
+    weights after each flip and keeps no state between scans.
+    """
+    colors = [0] * mg.vertex_count
+    flips = 0
+    while True:
+        for v in range(mg.vertex_count):
+            balance = sum(w if colors[u] != colors[v] else -w for u, w in mg.incident(v))
+            if balance < 0:
+                colors[v] = 1 - colors[v]
+                flips += 1
+                break
+        else:
+            return flips, tuple(colors)
+
+
 def extension_rule_colorings(g, spec, anchor_colors=(0, 1)):
     """Majority 2-colorings of a truncation by the forced-extension rule.
 

@@ -1,17 +1,23 @@
 import io
 import contextlib
+import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import digraphs, multigraphs
 from majoritylab import majority
 from majoritylab.cli import dispatch
 from majoritylab.counterexample import build_truncation, truncation_names
-from majoritylab.graph import DiGraph, from_dot, from_text, to_text
+from majoritylab.graph import DiGraph, from_dot, from_text, to_dot, to_text
 
 
 def run(argv):
@@ -79,6 +85,8 @@ class TestUsage:
             (ENUMERATE, '{"vertex_count": 3, "edges": [[true, 2]]}'),
             (ENUMERATE, '{"vertex_count": 2000000000, "edges": []}'),
             ("multigraph solve FILE", "0 1000000000 1\n"),
+            (ENUMERATE, '{"vertex_count": 30, "edges": []}'),
+            (ENUMERATE, '{"vertex_count": 1000, "edges": []}'),
         ],
         ids=[
             "deep-nesting",
@@ -86,13 +94,16 @@ class TestUsage:
             "bool-edge-end",
             "huge-vertex-count",
             "huge-multigraph-id",
+            "too-many-solutions",
+            "too-many-wide-solutions",
         ],
     )
     def test_malformed_graph_file_is_a_usage_error(self, tmp_path, command, text):
         # Out of process, so an uncaught exception would show as exit 1
         # (the "property violated" code) plus a traceback.  The address-space
         # limit makes an oversized allocation fail fast in the child instead
-        # of exhausting the machine.
+        # of exhausting the machine.  The edgeless graphs parse, but their
+        # 2^30 and 2^1000 colorings are refused by the enumerator.
         f = tmp_path / "bad.txt"
         f.write_text(text, encoding="utf-8")
         src = Path(__file__).resolve().parent.parent / "src"
@@ -130,6 +141,17 @@ class TestMajorityCommands:
         coloring = tmp_path / "c.txt"
         coloring.write_text("0 0\n", encoding="utf-8")
         assert run(["majority", "verify", str(path_graph_file), str(coloring)])[0] == 2
+
+    def test_not_total_error_stays_short(self, tmp_path):
+        graph = tmp_path / "wide.json"
+        graph.write_text('{"vertex_count": 200000, "edges": []}', encoding="utf-8")
+        coloring = tmp_path / "empty.txt"
+        coloring.write_text("", encoding="utf-8")
+        code, out, err = run(["majority", "verify", str(graph), str(coloring)])
+        assert code == 2
+        assert out == ""
+        assert len(err.encode("utf-8")) < 1024
+        assert err.startswith("error: coloring is not total: 200000 vertices missing: 0, 1,")
 
     def test_enumerate(self, tmp_path):
         g = DiGraph(2)
@@ -325,3 +347,93 @@ class TestDeterminism:
         first = run(argv)
         second = run(argv)
         assert first == second
+
+
+# --- fuzzing -------------------------------------------------------------------
+
+
+# Tokens of the three file formats, so that mutations reach past the first
+# syntax check more often than random bytes do.
+TOKENS = [
+    b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\", b" ", b"\n", b"#",
+    b"-1", b"0", b"7", b"1.5", b"1e3", b"true", b"null", b"NaN",
+    b'"vertex_count"', b'"edges"', b'"names"', b"digraph {", b"->", b";",
+    b'[label="x"]', b"\xff",
+]
+CHUNKS = st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from(TOKENS))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["vertex_count", "edges", "names", "0"]), inner, max_size=3),
+    max_leaves=8,
+).map(lambda value: json.dumps(value).encode("utf-8"))
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with a few chunks replaced, deleted or inserted."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        chunk = draw(CHUNKS)
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        if edit == "replace":
+            data[at:at + len(chunk)] = chunk
+        elif edit == "delete":
+            del data[at:at + len(chunk)]
+        else:
+            data[at:at] = chunk
+    return bytes(data)
+
+
+def _fuzzed(valid: st.SearchStrategy[bytes]) -> st.SearchStrategy[bytes]:
+    return st.one_of(st.binary(max_size=64), JSON_VALUES, valid, valid.flatmap(_mutated))
+
+
+def _graph_json(g: DiGraph) -> bytes:
+    return to_text(g, {0: "T"} if g.vertex_count else None).encode("utf-8")
+
+
+def _coloring_text(colors: list[int]) -> bytes:
+    return "".join(f"{v} {c}\n" for v, c in enumerate(colors)).encode("utf-8")
+
+
+def _multigraph_text(mg) -> bytes:
+    return "".join(f"{u} {v} {w}\n" for u, v, w in mg.edges()).encode("utf-8")
+
+
+GRAPH_JSON = digraphs(max_vertices=8).map(_graph_json)
+GRAPH_DOT = digraphs(max_vertices=8).map(lambda g: to_dot(g, {0: "T"}).encode("utf-8"))
+COLORING = st.lists(st.integers(0, 2), max_size=8).map(_coloring_text)
+MULTIGRAPH = multigraphs(max_vertices=8).map(_multigraph_text)
+
+# Each command names its input files by the strategy that fills them.
+FUZZED_COMMANDS = [
+    ("majority verify FILE FILE", (GRAPH_JSON, COLORING)),
+    ("majority enumerate FILE --colors 2", (GRAPH_JSON,)),
+    ("graph convert FILE --to dot", (GRAPH_JSON,)),
+    ("graph convert FILE --to text", (GRAPH_DOT,)),
+    ("multigraph solve FILE", (MULTIGRAPH,)),
+]
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_any_input_gives_an_exit_code(self, data):
+        command, sources = data.draw(st.sampled_from(FUZZED_COMMANDS))
+        blobs = [data.draw(_fuzzed(source)) for source in sources]
+        # Numbers above 20 would let a mutation declare a graph too large to
+        # enumerate quickly; the out-of-process cases above cover big inputs.
+        assume(all(int(d) <= 20 for blob in blobs for d in re.findall(rb"\d+", blob)))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for idx, blob in enumerate(blobs):
+                path = Path(tmp) / f"input{idx}"
+                path.write_bytes(blob)
+                paths.append(str(path))
+            argv = [paths.pop(0) if arg == "FILE" else arg for arg in command.split()]
+            code, _, err = run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ")

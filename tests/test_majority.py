@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dags, digraphs, extension_rule_colorings, random_dag
+from majoritylab import majority
 from majoritylab.counterexample import build_truncation
-from majoritylab.errors import NotADag, PaletteMismatch
+from majoritylab.errors import NotADag, PaletteMismatch, TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import (
     TruthView,
@@ -152,6 +153,14 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="outside palette"):
             enumerate_majority_colorings(g, 2, fixed={0: 2})
 
+    def test_stored_colors_cap(self, monkeypatch):
+        # Two free vertices have four colorings, eight stored colors.
+        monkeypatch.setattr(majority, "MAX_STORED_COLORS", 8)
+        assert len(enumerate_majority_colorings(DiGraph(2), 2)) == 4
+        monkeypatch.setattr(majority, "MAX_STORED_COLORS", 7)
+        with pytest.raises(TooLarge, match="more than 3 majority colorings of 2 vertices"):
+            enumerate_majority_colorings(DiGraph(2), 2)
+
     # Graphs with cycles have no topological order; the search uses id order.
     @given(st.one_of(dags(max_vertices=7), digraphs(max_vertices=7)), st.integers(2, 3))
     @settings(max_examples=80)
@@ -194,6 +203,17 @@ class TestEnumerate:
             if verify(g, Coloring(2, combo)).satisfied
         ]
         assert [c.colors for c in by_mask] == [c.colors for c in generic]
+
+    @given(st.one_of(dags(max_vertices=6), digraphs(max_vertices=6)))
+    @settings(max_examples=30)
+    def test_three_color_brute_force_matches_verifier(self, g):
+        early_exit = brute_force_majority_colorings(g, 3)
+        verified = [
+            combo
+            for combo in itertools.product(range(3), repeat=g.vertex_count)
+            if verify(g, Coloring(3, combo)).satisfied
+        ]
+        assert [c.colors for c in early_exit] == verified
 
     def test_truncation_extension_matches_full_brute_force(self):
         g, spec = build_truncation(3)

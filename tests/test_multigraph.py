@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
-from helpers import multigraphs, random_multigraph
+from helpers import multigraphs, random_multigraph, rescan_local_search, seeded_multigraph
 from majoritylab.errors import BudgetExceeded, SelfLoopError
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
@@ -130,6 +130,17 @@ class TestLocalSearch:
         result = local_search_2color(mg)
         assert result.flips == flips
         assert hashlib.sha256(bytes(result.coloring.colors)).hexdigest()[:16] == digest
+
+    @given(multigraphs())
+    def test_matches_rescan_oracle(self, mg):
+        result = local_search_2color(mg)
+        assert (result.flips, result.coloring.colors) == rescan_local_search(mg)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_rescan_oracle_on_seeded_instances(self, seed):
+        mg = seeded_multigraph(seed)
+        result = local_search_2color(mg)
+        assert (result.flips, result.coloring.colors) == rescan_local_search(mg)
 
 
 class TestSearch:
