@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
 import random
 
 from hypothesis import strategies as st
 
 from majoritylab.counterexample import truncation_extension
+from majoritylab.errors import CycleFound
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
 from majoritylab.multigraph import WeightedMultigraph
@@ -26,6 +29,52 @@ def random_dag(rng: random.Random, max_vertices: int, edge_prob: float | None = 
             if rng.random() < edge_prob:
                 g.add_edge(relabel[i], relabel[j])
     return g
+
+
+def sorted_tuples_to_text(g: DiGraph, names: dict[int, str] | None = None) -> str:
+    """Oracle: the graph text emitted from one global sort of edge tuples."""
+    lines = ["{", '  "edges": [']
+    edges = sorted(g.edges())
+    for idx, (u, v) in enumerate(edges):
+        comma = "," if idx < len(edges) - 1 else ""
+        lines.append(f"    [{u}, {v}]{comma}")
+    if names:
+        lines.append("  ],")
+        lines.append('  "names": {')
+        items = sorted(names)
+        for idx, v in enumerate(items):
+            comma = "," if idx < len(items) - 1 else ""
+            lines.append(f'    "{v}": {json.dumps(names[v])}{comma}')
+        lines.append("  },")
+    else:
+        lines.append("  ],")
+    lines.append(f'  "vertex_count": {g.vertex_count}')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def edge_list_kahn(g: DiGraph) -> list[int]:
+    """Oracle: Kahn's sort driven by ``g.edges()`` and ``g.out()``.
+
+    Smallest ready index first; raises ``CycleFound`` with the vertices
+    whose in-degree never dropped to 0.
+    """
+    in_degree = [0] * g.vertex_count
+    for _, v in g.edges():
+        in_degree[v] += 1
+    ready = [v for v, d in enumerate(in_degree) if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in g.out(u):
+            in_degree[v] -= 1
+            if in_degree[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != g.vertex_count:
+        raise CycleFound(frozenset(v for v, d in enumerate(in_degree) if d > 0))
+    return order
 
 
 def random_multigraph(

@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import dags, digraphs
+from helpers import dags, digraphs, edge_list_kahn, sorted_tuples_to_text
 from majoritylab.errors import (
     CycleFound,
     DuplicateEdgeError,
     OutOfRangeError,
+    PaletteMismatch,
     ParseError,
     SelfLoopError,
 )
 from majoritylab.graph import (
+    Coloring,
     DiGraph,
     TripletLabel,
     from_dot,
@@ -112,6 +115,17 @@ class TestTopologicalSort:
     def test_deterministic(self, g):
         assert topological_sort(g) == topological_sort(g)
 
+    @given(st.one_of(dags(), digraphs()))
+    def test_matches_edge_list_kahn(self, g):
+        try:
+            expected = edge_list_kahn(g)
+        except CycleFound as e:
+            with pytest.raises(CycleFound) as exc:
+                topological_sort(g)
+            assert exc.value.vertices == e.vertices
+        else:
+            assert topological_sort(g) == expected
+
 
 class TestSerialization:
     def test_round_trip_empty(self):
@@ -143,6 +157,39 @@ class TestSerialization:
         with pytest.raises(ParseError, match="edges"):
             from_text('{"vertex_count": 3, "edges": [[0, 99]]}')
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ("1", "edges[0]: expected an [u, v] integer pair"),
+            ('"01"', "edges[0]: expected an [u, v] integer pair"),
+            ("null", "edges[0]: expected an [u, v] integer pair"),
+            ('{"0": 1}', "edges[0]: expected an [u, v] integer pair"),
+            ("[0]", "edges[0]: expected an [u, v] integer pair"),
+            ("[0, 1, 2]", "edges[0]: expected an [u, v] integer pair"),
+            ("[true, 1]", "edges[0]: expected an [u, v] integer pair"),
+            ("[0, false]", "edges[0]: expected an [u, v] integer pair"),
+            ("[0.0, 1]", "edges[0]: expected an [u, v] integer pair"),
+            ("[0, 1.5]", "edges[0]: expected an [u, v] integer pair"),
+            ("[0, 1], [2]", "edges[1]: expected an [u, v] integer pair"),
+            ("[-1, 1]", "edges[0]: vertex -1 out of range (vertex_count 3)"),
+            ("[0, -1]", "edges[0]: vertex -1 out of range (vertex_count 3)"),
+            ("[3, 1]", "edges[0]: vertex 3 out of range (vertex_count 3)"),
+            ("[0, 3]", "edges[0]: vertex 3 out of range (vertex_count 3)"),
+            ("[7, 9]", "edges[0]: vertex 7 out of range (vertex_count 3)"),
+            ("[5, 5]", "edges[0]: vertex 5 out of range (vertex_count 3)"),
+            ("[1, 1]", "edges[0]: self-loop (1, 1) rejected"),
+            ("[0, 1], [1, 2], [0, 1]", "edges[2]: edge (0, 1) already present"),
+        ],
+    )
+    def test_edge_error_messages(self, edges, message):
+        with pytest.raises(ParseError) as exc:
+            from_text(f'{{"vertex_count": 3, "edges": [{edges}]}}')
+        assert str(exc.value) == message
+
+    def test_antiparallel_edges_parse(self):
+        g = from_text('{"vertex_count": 2, "edges": [[1, 0], [0, 1]]}')
+        assert sorted(g.edges()) == [(0, 1), (1, 0)]
+
     def test_bad_json(self):
         with pytest.raises(ParseError, match="line"):
             from_text("{nope")
@@ -162,6 +209,19 @@ class TestSerialization:
     def test_bad_names_key(self):
         with pytest.raises(ParseError, match="names"):
             from_text('{"vertex_count": 1, "edges": [], "names": {"x": "v"}}')
+
+    @given(st.data())
+    def test_matches_sorted_tuples_emitter(self, data):
+        g = data.draw(digraphs())
+        ids = st.integers(0, g.vertex_count - 1) if g.vertex_count else st.nothing()
+        names = data.draw(st.none() | st.dictionaries(ids, st.text(max_size=4)))
+        # Insertion order must not matter: rebuild with reversed adjacency.
+        shuffled = DiGraph(g.vertex_count)
+        for u, v in reversed(list(g.edges())):
+            shuffled.add_edge(u, v)
+        expected = sorted_tuples_to_text(g, names)
+        assert to_text(g, names) == expected
+        assert to_text(shuffled, names) == expected
 
     def test_output_is_byte_deterministic(self):
         g = path_graph(4)
@@ -187,6 +247,57 @@ class TestDot:
     def test_reject_garbage(self):
         with pytest.raises(ParseError):
             from_dot("digraph {\n  0 -- 1;\n}")
+
+    @pytest.mark.parametrize(
+        "statements, message",
+        [
+            ("0 -> 0;", "edge 0 (0 -> 0): self-loop (0, 0) rejected"),
+            ("0 -> 2;", "edge 0 (0 -> 2): vertex 2 out of range (vertex_count 2)"),
+            ("2 -> 0;", "edge 0 (2 -> 0): vertex 2 out of range (vertex_count 2)"),
+            ("0 -> 1;\n  0 -> 1;", "edge 1 (0 -> 1): edge (0, 1) already present"),
+            ("0 -- 1;", "line 4: unrecognized statement '0 -- 1;'"),
+            ("0 -> -1;", "line 4: unrecognized statement '0 -> -1;'"),
+            ("1;", "vertex statements must cover ids 0..V-1 exactly once"),
+        ],
+    )
+    def test_edge_error_messages(self, statements, message):
+        with pytest.raises(ParseError) as exc:
+            from_dot(f"digraph {{\n  0;\n  1;\n  {statements}\n}}\n")
+        assert str(exc.value) == message
+
+
+class TestColoring:
+    def test_list_input_becomes_a_tuple(self):
+        c = Coloring(2, [0, 1, 1])
+        assert type(c.colors) is tuple
+        assert c.colors == (0, 1, 1)
+
+    def test_empty_coloring(self):
+        assert Coloring(2, ()).colors == ()
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ((0, 1, 2, -1), "vertex 2 has color 2, palette size is 2"),
+            ([0, -1, 5], "vertex 1 has color -1, palette size is 2"),
+            ((7,), "vertex 0 has color 7, palette size is 2"),
+        ],
+    )
+    def test_first_bad_vertex_named(self, colors, message):
+        with pytest.raises(PaletteMismatch) as exc:
+            Coloring(2, colors)
+        assert str(exc.value) == message
+
+    @given(st.integers(1, 3), st.lists(st.integers(-2, 4), max_size=8))
+    def test_rejects_exactly_the_out_of_palette_colors(self, k, colors):
+        bad = [(v, c) for v, c in enumerate(colors) if not 0 <= c < k]
+        if not bad:
+            assert Coloring(k, colors).colors == tuple(colors)
+            return
+        with pytest.raises(PaletteMismatch) as exc:
+            Coloring(k, colors)
+        v, c = bad[0]
+        assert str(exc.value) == f"vertex {v} has color {c}, palette size is {k}"
 
 
 class TestTripletLabel:

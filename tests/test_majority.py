@@ -168,6 +168,15 @@ class TestEnumerate:
         fast = enumerate_majority_colorings(g, k)
         slow = brute_force_majority_colorings(g, k)
         assert [c.colors for c in fast] == [c.colors for c in slow]
+        assert all(a.colors < b.colors for a, b in zip(slow, slow[1:]))
+
+    def test_two_color_brute_force_small_graphs(self):
+        # The empty graph has exactly one coloring, the empty one.
+        assert brute_force_majority_colorings(DiGraph(0), 2) == [Coloring(2, ())]
+        assert [c.colors for c in brute_force_majority_colorings(DiGraph(1), 2)] == [
+            (0,),
+            (1,),
+        ]
 
     @pytest.mark.parametrize("forwards", [True, False])
     def test_long_path_has_two_alternating_colorings(self, forwards):
