@@ -79,8 +79,10 @@ class DiGraph:
 
     def add_edge(self, u: VertexId, v: VertexId) -> None:
         """Add the directed edge u -> v, rejecting anything non-simple."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        n = len(self._out)
+        if not (0 <= u < n and 0 <= v < n):
+            self._check_vertex(u)
+            self._check_vertex(v)
         if u == v:
             raise SelfLoopError(f"self-loop ({u}, {u}) rejected")
         if v in self._out[u]:
@@ -94,7 +96,8 @@ class DiGraph:
 
     def out(self, v: VertexId) -> Sequence[VertexId]:
         """Out-neighbors of ``v``.  The returned list must not be mutated."""
-        self._check_vertex(v)
+        if not 0 <= v < len(self._out):
+            self._check_vertex(v)
         return self._out[v]
 
     def out_degree(self, v: VertexId) -> int:
@@ -108,8 +111,13 @@ class DiGraph:
                 yield u, v
 
     def sorted_edges(self) -> list[tuple[VertexId, VertexId]]:
-        """All edges sorted lexicographically."""
-        return sorted(self.edges())
+        """All edges sorted lexicographically.
+
+        Sources come in id order already, so only each out-list is sorted.
+        """
+        return [
+            (u, v) for u, targets in enumerate(self._out) for v in sorted(targets)
+        ]
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: adjacency order is representational only.
@@ -133,14 +141,20 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
+        colors = self.colors
+        if type(colors) is not tuple:
+            colors = tuple(colors)
+            object.__setattr__(self, "colors", colors)
         if self.palette_size < 1:
             raise ValueError("palette_size must be positive")
-        for v, c in enumerate(self.colors):
-            if not 0 <= c < self.palette_size:
-                raise PaletteMismatch(
-                    f"vertex {v} has color {c}, palette size is {self.palette_size}"
-                )
+        # min/max check every color at C speed; the loop only names the
+        # first vertex outside the palette.
+        if colors and not (0 <= min(colors) and max(colors) < self.palette_size):
+            for v, c in enumerate(colors):
+                if not 0 <= c < self.palette_size:
+                    raise PaletteMismatch(
+                        f"vertex {v} has color {c}, palette size is {self.palette_size}"
+                    )
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -160,17 +174,20 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
 
     Returns an order in which every edge goes from earlier to later.
     Raises CycleFound with the set of vertices left on a residual cycle.
+    In-degrees and successors are read straight from the adjacency lists.
     """
-    in_degree = [0] * g.vertex_count
-    for _, v in g.edges():
-        in_degree[v] += 1
+    out = g._out
+    in_degree = [0] * len(out)
+    for targets in out:
+        for v in targets:
+            in_degree[v] += 1
     ready = [v for v, d in enumerate(in_degree) if d == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in g.out(u):
+        for v in out[u]:
             in_degree[v] -= 1
             if in_degree[v] == 0:
                 heapq.heappush(ready, v)
@@ -190,13 +207,19 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
 
 
 def to_text(g: DiGraph, names: dict[int, str] | None = None) -> str:
+    """The canonical graph text: sorted keys, one sorted edge per line.
+
+    Edges are emitted source by source with each out-list sorted, which is
+    the lexicographic order without a global sort of edge tuples.
+    """
     # Hand-rolled emission so each edge occupies one line (diff-friendly);
     # the output is ordinary JSON.
     lines = ["{", '  "edges": [']
-    edges = g.sorted_edges()
-    for idx, (u, v) in enumerate(edges):
-        comma = "," if idx < len(edges) - 1 else ""
-        lines.append(f"    [{u}, {v}]{comma}")
+    for u, targets in enumerate(g._out):
+        for v in sorted(targets):
+            lines.append(f"    [{u}, {v}],")
+    if len(lines) > 2:
+        lines[-1] = lines[-1][:-1]
     if names:
         lines.append("  ],")
         lines.append('  "names": {')
@@ -222,6 +245,12 @@ def _is_int(x: object) -> bool:
 
 
 def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
+    """Parse graph text into a graph and its optional name map.
+
+    Every malformed document raises ``ParseError``; an edge is checked for
+    shape, integer ids, range, self-loop and duplication in one pass over
+    ``edges``, straight into the adjacency lists.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -245,15 +274,29 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     if not isinstance(doc["edges"], list):
         raise ParseError("field 'edges': expected a list of [u, v] pairs")
     g = DiGraph(vertex_count)
+    out = g._out
     for idx, pair in enumerate(doc["edges"]):
+        # json.loads makes exact lists and ints; `type(...) is int` also
+        # keeps rejecting true/false, which load as bool.
         if (
-            not isinstance(pair, list)
+            type(pair) is not list
             or len(pair) != 2
-            or not all(_is_int(x) for x in pair)
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
         ):
             raise ParseError(f"edges[{idx}]: expected an [u, v] integer pair")
+        u, v = pair
+        if (
+            0 <= u < vertex_count
+            and 0 <= v < vertex_count
+            and u != v
+            and v not in out[u]
+        ):
+            out[u].append(v)
+            continue
+        # A bad edge goes through add_edge only for its exact error text.
         try:
-            g.add_edge(pair[0], pair[1])
+            g.add_edge(u, v)
         except (SelfLoopError, DuplicateEdgeError, OutOfRangeError) as e:
             raise ParseError(f"edges[{idx}]: {e}") from e
     names: dict[int, str] | None = None
@@ -279,14 +322,24 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
 
 _DOT_NODE_RE = re.compile(r'^(\d+)(?:\s+\[label="((?:[^"\\]|\\.)*)"\])?;$')
 _DOT_EDGE_RE = re.compile(r"^(\d+) -> (\d+);$")
+_DOT_ESCAPE_RE = re.compile(r'\\([\\"nr])')
+_DOT_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
 
 
 def _dot_escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace('"', '\\"')
+    # "\n" and "\r" are escaped so that a label stays on its line, also
+    # when the file is read back with universal newlines.
+    return (
+        label.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
 
 
 def _dot_unescape(label: str) -> str:
-    return label.replace('\\"', '"').replace("\\\\", "\\")
+    # One pass, so an escaped backslash never joins the next character.
+    return _DOT_ESCAPE_RE.sub(lambda m: _DOT_UNESCAPED[m.group(1)], label)
 
 
 def to_dot(g: DiGraph, names: dict[int, str] | None = None) -> str:
@@ -304,8 +357,12 @@ def to_dot(g: DiGraph, names: dict[int, str] | None = None) -> str:
 
 
 def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
-    """Parse the DOT subset emitted by :func:`to_dot` (round-trip support)."""
-    body = [line.strip() for line in text.splitlines() if line.strip()]
+    """Parse the DOT subset emitted by :func:`to_dot` (round-trip support).
+
+    Statements are split on "\\n" only: other line-break characters may
+    appear raw inside a label.
+    """
+    body = [line.strip() for line in text.split("\n") if line.strip()]
     if not body or body[0] != "digraph {" or body[-1] != "}":
         raise ParseError("expected a 'digraph { ... }' document")
     vertices: list[int] = []

@@ -221,7 +221,8 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
 
     Exponential in the vertex count; meant for graphs small enough to
     exhaust.  The 2-color path counts monochromatic out-edges with
-    bitmask popcounts but still visits all 2^V assignments.  Any other
+    bitmask popcounts but still visits all 2^V assignments, in
+    lexicographic order, so its solutions need no sort.  Any other
     palette visits all k^V assignments in id order, with no pruning of
     partial assignments, and drops each at its first violated vertex; only
     the solutions become colorings.
@@ -240,30 +241,31 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
 
 
 def _brute_force_two_colors(g: DiGraph) -> list[Coloring]:
+    # Vertex v is bit n-1-v, so counting up visits the colorings in
+    # lexicographic order and the solutions need no sort.
     n = g.vertex_count
+    top = n - 1
     masks = []
     for v in range(n):
-        m = 0
-        for u in g.out(v):
-            m |= 1 << u
-        masks.append((v, m, g.out_degree(v)))
-    masks = [(v, m, d) for v, m, d in masks if d > 0]
+        out = g.out(v)
+        if out:
+            m = 0
+            for u in out:
+                m |= 1 << (top - u)
+            masks.append((top - v, m, len(out)))
     found: list[int] = []
     for assignment in range(1 << n):
-        ok = True
-        for v, m, d in masks:
+        for bit, m, d in masks:
             ones = (assignment & m).bit_count()
-            mono = ones if (assignment >> v) & 1 else d - ones
+            mono = ones if (assignment >> bit) & 1 else d - ones
             if 2 * mono > d:
-                ok = False
                 break
-        if ok:
+        else:
             found.append(assignment)
-    results = [
-        Coloring(2, tuple((a >> v) & 1 for v in range(n))) for a in found
-    ]
-    results.sort(key=lambda c: c.colors)
-    return results
+    # bin() of a with a leading 1 bit at position n gives exactly n digits,
+    # also for n = 0, where it gives none.
+    lead = 1 << n
+    return [Coloring(2, tuple(map(int, bin(a | lead)[3:]))) for a in found]
 
 
 def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:

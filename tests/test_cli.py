@@ -332,6 +332,17 @@ class TestGraphConvert:
         _, text, _ = run(["graph", "convert", str(dot_file), "--to", "text"])
         assert text == f.read_text(encoding="utf-8")
 
+    def test_line_break_names_survive_both_directions(self, tmp_path):
+        f = tmp_path / "named.json"
+        f.write_text(to_text(DiGraph(3), {0: "a\nb", 1: "c\r\nd", 2: "e\u2028f\r"}), encoding="utf-8")
+        code, dot, _ = run(["graph", "convert", str(f), "--to", "dot"])
+        assert code == 0
+        dot_file = tmp_path / "named.dot"
+        dot_file.write_text(dot, encoding="utf-8")
+        code, text, _ = run(["graph", "convert", str(dot_file), "--to", "text"])
+        assert code == 0
+        assert text == f.read_text(encoding="utf-8")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

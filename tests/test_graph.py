@@ -244,6 +244,25 @@ class TestDot:
         g2, names = from_dot(to_dot(g, {0: 'a"b\\c'}))
         assert names == {0: 'a"b\\c'}
 
+    @given(st.data())
+    def test_names_round_trip(self, data):
+        g = data.draw(digraphs(max_vertices=5))
+        ids = st.integers(0, g.vertex_count - 1) if g.vertex_count else st.nothing()
+        names = data.draw(st.dictionaries(ids, st.text()))
+        g2, names2 = from_dot(to_dot(g, names))
+        assert g2 == g
+        assert names2 == (names or None)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_line_break_in_label(self, sep):
+        dot = to_dot(DiGraph(2), {0: f"a{sep}b", 1: "\\n"})
+        assert dot.count("\n") == 4
+        assert from_dot(dot)[1] == {0: f"a{sep}b", 1: "\\n"}
+
+    def test_crlf_document(self):
+        dot = to_dot(DiGraph(2), {1: "x"}).replace("\n", "\r\n")
+        assert from_dot(dot)[1] == {1: "x"}
+
     def test_reject_garbage(self):
         with pytest.raises(ParseError):
             from_dot("digraph {\n  0 -- 1;\n}")
