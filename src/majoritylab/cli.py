@@ -6,6 +6,12 @@ text (CSV rows, line records, or DOT).  Outputs are byte-deterministic
 for fixed inputs and flags.
 
 Exit codes: 0 = pass, 1 = property violated, 2 = usage or IO error.
+
+Each handler imports the library modules it runs, so a process pays only
+for its own subcommand: ``build_parser`` needs nothing beyond argparse.
+The bulk emitters build their rows and write stdout once (``_write_rows``);
+``majority prefix-experiment`` prints row by row, because its rows are
+worth streaming.
 """
 
 from __future__ import annotations
@@ -13,20 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable
 
-from . import counterexample as cx
-from . import gadgets, infinite, majority, multigraph
 from .errors import MajorityLabError, ParseError, SweepFailure
-from .graph import (
-    MAX_VERTICES,
-    Coloring,
-    DiGraph,
-    from_dot,
-    from_text_with_names,
-    to_dot,
-    to_text,
-    topological_sort,
-)
+
+if TYPE_CHECKING:
+    from . import gadgets, infinite, multigraph
+    from .graph import Coloring, DiGraph
 
 PROG = "majoritylab"
 
@@ -43,8 +42,19 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _write_rows(rows: Iterable[str]) -> None:
+    """Write each row and a newline to stdout in a single call.
+
+    With ``PYTHONUNBUFFERED`` set, every ``print`` reaches the pipe as its
+    own writes, which costs more than the rows do.
+    """
+    sys.stdout.write("".join([f"{row}\n" for row in rows]))
+
+
 def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> Coloring:
     """Coloring file: one 'vertex color' pair per line; '#' starts a comment."""
+    from .graph import Coloring
+
     entries: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -82,6 +92,9 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
     Vertex ids must stay below ``MAX_VERTICES``: the graph is sized by the
     largest one.
     """
+    from . import multigraph
+    from .graph import MAX_VERTICES
+
     triples: list[tuple[int, int, int]] = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -122,6 +135,9 @@ def _parse_id_list(text: str) -> list[int]:
 
 def _isolated_chain(k: int) -> tuple[DiGraph, gadgets.GadgetHandle, dict[int, str]]:
     """A fresh graph holding only an anchor, k inputs, and one chain gadget."""
+    from . import gadgets
+    from .graph import DiGraph
+
     g = DiGraph(k + 1)
     anchor = 0
     inputs = tuple(range(1, k + 1))
@@ -136,12 +152,18 @@ def _isolated_chain(k: int) -> tuple[DiGraph, gadgets.GadgetHandle, dict[int, st
 
 
 def _cmd_majority_verify(args: argparse.Namespace) -> int:
+    from . import majority
+    from .graph import from_text_with_names
+
     g, _ = from_text_with_names(_read_file(args.graph))
     coloring = _parse_coloring(_read_file(args.coloring), g.vertex_count, args.colors)
     report = majority.verify(g, coloring)
-    print("vertex,mono,diff,satisfied")
-    for v, check in enumerate(report.checks):
-        print(f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}")
+    rows = ["vertex,mono,diff,satisfied"]
+    rows += [
+        f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}"
+        for v, check in enumerate(report.checks)
+    ]
+    _write_rows(rows)
     if report.satisfied:
         return 0
     print(f"violated at vertex {report.first_violation}", file=sys.stderr)
@@ -149,6 +171,9 @@ def _cmd_majority_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
+    from . import majority
+    from .graph import from_text_with_names
+
     g, _ = from_text_with_names(_read_file(args.graph))
     free = None if args.free is None else _parse_id_list(args.free)
     for v in free or ():
@@ -159,12 +184,13 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
         rows = sorted({majority.project(c, free) for c in colorings})
     else:
         rows = [c.colors for c in colorings]
-    for row in rows:
-        print(" ".join(str(c) for c in row))
+    _write_rows(" ".join(map(str, row)) for row in rows)
     return 0
 
 
 def _cmd_majority_prefix(args: argparse.Namespace) -> int:
+    from . import majority
+
     if args.m < 1:
         raise ParseError("--m must be at least 1")
     print("n,m,count,patterns")
@@ -179,6 +205,8 @@ def _cmd_majority_prefix(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget_verify(args: argparse.Namespace) -> int:
+    from . import gadgets
+
     g, handle, _ = _isolated_chain(args.inputs)
     report = gadgets.verify_or_semantics(g, handle)
     print("inputs,extension_exists,extension_unique,output_truth")
@@ -195,6 +223,8 @@ def _cmd_gadget_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget_dot(args: argparse.Namespace) -> int:
+    from .graph import to_dot
+
     g, _, names = _isolated_chain(args.inputs)
     sys.stdout.write(to_dot(g, names))
     return 0
@@ -204,6 +234,9 @@ def _cmd_gadget_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample_build(args: argparse.Namespace) -> int:
+    from . import counterexample as cx
+    from .graph import to_dot, to_text
+
     g, spec = cx.build_truncation(args.n)
     names = cx.truncation_names(spec)
     text = to_text(g, names)
@@ -220,6 +253,10 @@ def _cmd_counterexample_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
+    from . import counterexample as cx
+    from . import gadgets
+    from .graph import topological_sort
+
     g, spec = cx.build_truncation(args.n)
     validity = all(
         gadgets.is_valid_gadget(g, h) for h in spec.gadget_registry.values()
@@ -246,6 +283,8 @@ def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
 
 
 def _support_mode(text: str) -> infinite.SupportMode:
+    from . import infinite
+
     if text == "true":
         return infinite.SupportMode.FINITE_TRUE
     if text == "false":
@@ -254,6 +293,8 @@ def _support_mode(text: str) -> infinite.SupportMode:
 
 
 def _cmd_infinite_check(args: argparse.Namespace) -> int:
+    from . import infinite
+
     support = frozenset(_parse_id_list(args.support))
     d = infinite.SupportColoring(_support_mode(args.mode), support)
     witness = infinite.check_symbolic(d)
@@ -266,17 +307,19 @@ def _cmd_infinite_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
+    from . import infinite
+
     try:
         report = infinite.theorem_sweep(args.max_size, args.max_pos)
     except SweepFailure as e:
         print(f"feasible description found: {e.description}", file=sys.stderr)
         return 1
-    for line in report.note.split(".  "):
-        print(f"# {line.strip().rstrip('.')}.")
-    print("mode,support,witness")
+    rows = [f"# {line.strip().rstrip('.')}." for line in report.note.split(".  ")]
+    rows.append("mode,support,witness")
     for entry in report.entries:
         support = "+".join(str(p) for p in sorted(entry.description.support))
-        print(f"{entry.description.mode.value},{support},{entry.witness}")
+        rows.append(f"{entry.description.mode.value},{support},{entry.witness}")
+    _write_rows(rows)
     return 0
 
 
@@ -284,33 +327,35 @@ def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_multigraph_solve(args: argparse.Namespace) -> int:
+    from . import multigraph
+
     mg = _parse_multigraph(_read_file(args.file))
     result = multigraph.local_search_2color(mg)
-    for v, c in enumerate(result.coloring.colors):
-        print(f"{v} {c}")
+    _write_rows(f"{v} {c}" for v, c in enumerate(result.coloring.colors))
     print(f"# flips: {result.flips}", file=sys.stderr)
     return 0 if multigraph.verify_weighted(mg, result.coloring).satisfied else 1
 
 
 def _cmd_multigraph_search(args: argparse.Namespace) -> int:
+    from . import multigraph
+
     findings = multigraph.search_non_k_colorable(args.max_v, args.max_w, args.k)
-    if not findings:
-        print("# findings: 0")
-        return 0
-    print(f"# findings: {len(findings)}")
+    rows = [f"# findings: {len(findings)}"]
     for idx, mg in enumerate(findings):
-        print(f"# instance {idx}: vertices={mg.vertex_count} "
-              f"total_weight={mg.total_weight}")
-        for u, v, w in mg.edges():
-            print(f"{u} {v} {w}")
-        print()
-    return 1
+        rows.append(f"# instance {idx}: vertices={mg.vertex_count} "
+                    f"total_weight={mg.total_weight}")
+        rows += [f"{u} {v} {w}" for u, v, w in mg.edges()]
+        rows.append("")
+    _write_rows(rows)
+    return 1 if findings else 0
 
 
 # --- graph group -----------------------------------------------------------
 
 
 def _cmd_graph_convert(args: argparse.Namespace) -> int:
+    from .graph import from_dot, from_text_with_names, to_dot, to_text
+
     text = _read_file(args.input)
     if text.lstrip().startswith("digraph"):
         g, names = from_dot(text)

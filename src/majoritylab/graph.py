@@ -306,10 +306,15 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
             raise ParseError("field 'names': expected a map id -> string")
         names = {}
         for key, value in raw.items():
+            # Only the canonical decimal is a key: int() would also read
+            # "01", " 1 ", "+1" and "1_0", and two spellings of one id
+            # would silently overwrite each other.
             try:
                 vid = int(key)
             except ValueError:
-                raise ParseError(f"names: key {key!r} is not an integer id") from None
+                vid = None
+            if vid is None or key != str(vid):
+                raise ParseError(f"names: key {key!r} is not a canonical integer id")
             if not 0 <= vid < vertex_count:
                 raise ParseError(f"names: vertex {vid} out of range")
             if not isinstance(value, str):

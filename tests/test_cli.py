@@ -1,7 +1,9 @@
 import io
 import contextlib
+import hashlib
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -358,6 +360,84 @@ class TestDeterminism:
         first = run(argv)
         second = run(argv)
         assert first == second
+
+
+class CountingIO(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def _seeded_dag_files(tmp_path, seed=3, vertices=3000):
+    """A random DAG (edges go up in id) and a random 2-coloring of it."""
+    rng = random.Random(seed)
+    g = DiGraph(vertices)
+    for u in range(vertices - 1):
+        for v in rng.sample(range(u + 1, vertices), min(3, vertices - 1 - u)):
+            g.add_edge(u, v)
+    graph_file = tmp_path / "dag.json"
+    graph_file.write_text(to_text(g), encoding="utf-8")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text(
+        "".join(f"{v} {rng.randrange(2)}\n" for v in range(vertices)), encoding="utf-8"
+    )
+    return graph_file, coloring_file
+
+
+class TestStdoutWrites:
+    """The bulk emitters write stdout once; the bytes do not depend on buffering."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "majority verify GRAPH COLORING",
+            "majority enumerate SMALL --colors 2",
+            "infinite sweep --max-size 2 --max-pos 8",
+            "multigraph solve MULTIGRAPH",
+            "multigraph search --k 1 --max-v 2 --max-w 2",
+            "multigraph search --k 2 --max-v 3 --max-w 4",
+        ],
+    )
+    def test_bulk_emitter_writes_once(self, tmp_path, command):
+        graph_file, coloring_file = _seeded_dag_files(tmp_path, vertices=50)
+        small = tmp_path / "small.json"
+        small.write_text('{"vertex_count": 3, "edges": [[0, 1], [1, 2]]}', encoding="utf-8")
+        mg = tmp_path / "mg.txt"
+        mg.write_text("0 1 5\n1 2 1\n2 0 3\n", encoding="utf-8")
+        files = {"GRAPH": graph_file, "COLORING": coloring_file, "SMALL": small,
+                 "MULTIGRAPH": mg}
+        argv = [str(files.get(arg, arg)) for arg in command.split()]
+        out = CountingIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(argv)
+        assert code in (0, 1)
+        assert out.getvalue().endswith("\n")
+        assert out.writes == 1
+
+    @pytest.mark.parametrize("argv", [
+        "infinite sweep --max-size 3 --max-pos 30",
+        "majority verify GRAPH COLORING",
+    ])
+    def test_unbuffered_child_matches_in_process(self, tmp_path, argv):
+        graph_file, coloring_file = _seeded_dag_files(tmp_path)
+        files = {"GRAPH": graph_file, "COLORING": coloring_file}
+        argv = [str(files.get(arg, arg)) for arg in argv.split()]
+        code, out, _ = run(argv)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "majoritylab", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1"),
+        )
+        assert proc.returncode == code
+        assert proc.stdout == out.encode("utf-8")
+        if argv[0] == "infinite":
+            golden = json.loads((src.parent / "bench" / "golden.json").read_text("utf-8"))
+            assert hashlib.sha256(proc.stdout).hexdigest() == golden[" ".join(argv)][1]
 
 
 # --- fuzzing -------------------------------------------------------------------

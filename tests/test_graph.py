@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,6 +211,27 @@ class TestSerialization:
     def test_bad_names_key(self):
         with pytest.raises(ParseError, match="names"):
             from_text('{"vertex_count": 1, "edges": [], "names": {"x": "v"}}')
+
+    @pytest.mark.parametrize("key", ["01", " 1 ", "+1", "1_0", "1 ", "\\u0661"])
+    def test_names_key_must_be_canonical(self, key):
+        # int() reads every one of these keys ("١" is ARABIC-INDIC ONE).
+        text = f'{{"vertex_count": 11, "edges": [], "names": {{"{key}": "v"}}}}'
+        with pytest.raises(ParseError) as exc:
+            from_text_with_names(text)
+        assert repr(json.loads(f'"{key}"')) in str(exc.value)
+
+    def test_names_aliases_do_not_overwrite(self):
+        text = '{"vertex_count": 2, "edges": [], "names": {"1": "a", "01": "b"}}'
+        with pytest.raises(ParseError, match="'01' is not a canonical integer id"):
+            from_text_with_names(text)
+
+    @given(st.data())
+    def test_names_round_trip_any(self, data):
+        g = data.draw(digraphs())
+        ids = st.integers(0, max(g.vertex_count - 1, 0))
+        names = data.draw(st.dictionaries(ids, st.text(max_size=4)))
+        names = {v: s for v, s in names.items() if v < g.vertex_count}
+        assert from_text_with_names(to_text(g, names)) == (g, names or None)
 
     @given(st.data())
     def test_matches_sorted_tuples_emitter(self, data):

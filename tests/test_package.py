@@ -5,6 +5,10 @@ how the package loads its names cannot drop or add one unnoticed.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +71,65 @@ class TestPublicSurface:
         with pytest.raises(AttributeError):
             majoritylab.no_such_name  # noqa: B018
         assert not hasattr(majoritylab, "build_parser")
+
+
+# --- import footprint, out of process ------------------------------------------
+# The test session has imported every submodule already, so only a fresh
+# interpreter can see what one command loads.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FOOTPRINT = """
+import contextlib, io, sys
+from majoritylab import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("majoritylab.")))
+"""
+
+
+def _fresh(script: str, *argv: str) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+    )
+    return proc.stdout.split()
+
+
+def test_bare_import_loads_no_submodule():
+    script = "import sys, majoritylab; print(*sorted(m for m in sys.modules if 'majoritylab' in m))"
+    assert _fresh(script) == ["majoritylab"]
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ("--help", "cli errors"),
+        ("majority verify GRAPH COLORING", "cli errors graph majority"),
+        ("majority enumerate GRAPH --colors 2", "cli errors graph majority"),
+        ("gadget verify --inputs 2", "cli errors gadgets graph majority"),
+        ("counterexample verify --n 3", "cli counterexample errors gadgets graph majority"),
+        ("infinite check --mode true --support 3", "cli errors infinite"),
+        ("infinite sweep --max-size 1 --max-pos 3", "cli errors infinite"),
+        ("multigraph solve MULTIGRAPH", "cli errors graph majority multigraph"),
+        ("graph convert GRAPH --to dot", "cli errors graph"),
+    ],
+)
+def test_command_loads_only_its_modules(tmp_path, command, modules):
+    files = {
+        "GRAPH": '{"vertex_count": 2, "edges": [[0, 1]]}',
+        "COLORING": "0 1\n1 0\n",
+        "MULTIGRAPH": "0 1 2\n",
+    }
+    argv = []
+    for arg in command.split():
+        if arg in files:
+            path = tmp_path / arg
+            path.write_text(files[arg], encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    code, *loaded = _fresh(FOOTPRINT, *argv)
+    assert code in {"0", "1"}
+    assert loaded == [f"majoritylab.{m}" for m in modules.split()]
