@@ -45,8 +45,9 @@ def _read_file(path: str) -> str:
 def _write_rows(rows: Iterable[str]) -> None:
     """Write each row and a newline to stdout in a single call.
 
-    With ``PYTHONUNBUFFERED`` set, every ``print`` reaches the pipe as its
-    own writes, which costs more than the rows do.
+    With ``PYTHONUNBUFFERED`` set, every ``print`` reaches the pipe as
+    separate writes, and for a few thousand rows those writes cost more
+    than building the rows.
     """
     sys.stdout.write("".join([f"{row}\n" for row in rows]))
 
