@@ -7,25 +7,47 @@ for fixed inputs and flags.
 
 Exit codes: 0 = pass, 1 = property violated, 2 = usage or IO error.
 
-Each handler imports the library modules it runs, so a process pays only
-for its own subcommand: ``build_parser`` needs nothing beyond argparse.
-The bulk emitters build their rows and write stdout once (``_write_rows``);
-``majority prefix-experiment`` prints row by row, because its rows are
-worth streaming.
+The library modules are bound lazily (``_lazy``), so a process runs the
+code of only the modules its own subcommand uses: ``build_parser`` needs
+nothing beyond argparse.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from types import ModuleType
 
 from .errors import MajorityLabError, ParseError, SweepFailure
 
-if TYPE_CHECKING:
-    from . import gadgets, infinite, multigraph
-    from .graph import Coloring, DiGraph
+
+def _lazy(name: str) -> ModuleType:
+    """The submodule ``name``, whose code runs on its first attribute access.
+
+    The module is entered in ``sys.modules`` and bound in the package at
+    once, as an import statement would do, so code that looks modules up
+    there finds it; only running its body waits until a handler uses it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cx = _lazy("counterexample")
+gadgets = _lazy("gadgets")
+graph = _lazy("graph")
+infinite = _lazy("infinite")
+majority = _lazy("majority")
+multigraph = _lazy("multigraph")
 
 PROG = "majoritylab"
 
@@ -42,20 +64,8 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_rows(rows: Iterable[str]) -> None:
-    """Write each row and a newline to stdout in a single call.
-
-    With ``PYTHONUNBUFFERED`` set, every ``print`` reaches the pipe as
-    separate writes, and for a few thousand rows those writes cost more
-    than building the rows.
-    """
-    sys.stdout.write("".join([f"{row}\n" for row in rows]))
-
-
-def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> Coloring:
+def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> graph.Coloring:
     """Coloring file: one 'vertex color' pair per line; '#' starts a comment."""
-    from .graph import Coloring
-
     entries: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -84,7 +94,7 @@ def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> C
         )
     if palette_size is None:
         palette_size = max(entries.values(), default=0) + 1
-    return Coloring(palette_size, tuple(entries[v] for v in range(vertex_count)))
+    return graph.Coloring(palette_size, tuple(entries[v] for v in range(vertex_count)))
 
 
 def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
@@ -93,9 +103,6 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
     Vertex ids must stay below ``MAX_VERTICES``: the graph is sized by the
     largest one.
     """
-    from . import multigraph
-    from .graph import MAX_VERTICES
-
     triples: list[tuple[int, int, int]] = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -114,9 +121,9 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
         if w < 1:
             raise ParseError(f"line {lineno}: weight must be positive")
         top = max(top, u, v)
-        if top >= MAX_VERTICES:
+        if top >= graph.MAX_VERTICES:
             raise ParseError(
-                f"line {lineno}: vertex id {top} exceeds the cap {MAX_VERTICES}"
+                f"line {lineno}: vertex id {top} exceeds the cap {graph.MAX_VERTICES}"
             )
         triples.append((u, v, w))
     mg = multigraph.WeightedMultigraph(top + 1)
@@ -134,12 +141,9 @@ def _parse_id_list(text: str) -> list[int]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _isolated_chain(k: int) -> tuple[DiGraph, gadgets.GadgetHandle, dict[int, str]]:
+def _isolated_chain(k: int) -> tuple[graph.DiGraph, gadgets.GadgetHandle, dict[int, str]]:
     """A fresh graph holding only an anchor, k inputs, and one chain gadget."""
-    from . import gadgets
-    from .graph import DiGraph
-
-    g = DiGraph(k + 1)
+    g = graph.DiGraph(k + 1)
     anchor = 0
     inputs = tuple(range(1, k + 1))
     handle = gadgets.build_or_chain(g, anchor, inputs)
@@ -153,18 +157,12 @@ def _isolated_chain(k: int) -> tuple[DiGraph, gadgets.GadgetHandle, dict[int, st
 
 
 def _cmd_majority_verify(args: argparse.Namespace) -> int:
-    from . import majority
-    from .graph import from_text_with_names
-
-    g, _ = from_text_with_names(_read_file(args.graph))
+    g, _ = graph.from_text_with_names(_read_file(args.graph))
     coloring = _parse_coloring(_read_file(args.coloring), g.vertex_count, args.colors)
     report = majority.verify(g, coloring)
-    rows = ["vertex,mono,diff,satisfied"]
-    rows += [
-        f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}"
-        for v, check in enumerate(report.checks)
-    ]
-    _write_rows(rows)
+    print("vertex,mono,diff,satisfied")
+    for v, check in enumerate(report.checks):
+        print(f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}")
     if report.satisfied:
         return 0
     print(f"violated at vertex {report.first_violation}", file=sys.stderr)
@@ -172,10 +170,7 @@ def _cmd_majority_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
-    from . import majority
-    from .graph import from_text_with_names
-
-    g, _ = from_text_with_names(_read_file(args.graph))
+    g, _ = graph.from_text_with_names(_read_file(args.graph))
     free = None if args.free is None else _parse_id_list(args.free)
     for v in free or ():
         if not 0 <= v < g.vertex_count:
@@ -185,13 +180,12 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
         rows = sorted({majority.project(c, free) for c in colorings})
     else:
         rows = [c.colors for c in colorings]
-    _write_rows(" ".join(map(str, row)) for row in rows)
+    for row in rows:
+        print(" ".join(str(c) for c in row))
     return 0
 
 
 def _cmd_majority_prefix(args: argparse.Namespace) -> int:
-    from . import majority
-
     if args.m < 1:
         raise ParseError("--m must be at least 1")
     print("n,m,count,patterns")
@@ -206,8 +200,6 @@ def _cmd_majority_prefix(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget_verify(args: argparse.Namespace) -> int:
-    from . import gadgets
-
     g, handle, _ = _isolated_chain(args.inputs)
     report = gadgets.verify_or_semantics(g, handle)
     print("inputs,extension_exists,extension_unique,output_truth")
@@ -224,10 +216,8 @@ def _cmd_gadget_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget_dot(args: argparse.Namespace) -> int:
-    from .graph import to_dot
-
     g, _, names = _isolated_chain(args.inputs)
-    sys.stdout.write(to_dot(g, names))
+    sys.stdout.write(graph.to_dot(g, names))
     return 0
 
 
@@ -235,18 +225,15 @@ def _cmd_gadget_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample_build(args: argparse.Namespace) -> int:
-    from . import counterexample as cx
-    from .graph import to_dot, to_text
-
     g, spec = cx.build_truncation(args.n)
     names = cx.truncation_names(spec)
-    text = to_text(g, names)
+    text = graph.to_text(g, names)
     wrote = False
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         wrote = True
     if args.dot:
-        Path(args.dot).write_text(to_dot(g, names), encoding="utf-8")
+        Path(args.dot).write_text(graph.to_dot(g, names), encoding="utf-8")
         wrote = True
     if not wrote:
         sys.stdout.write(text)
@@ -254,16 +241,12 @@ def _cmd_counterexample_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
-    from . import counterexample as cx
-    from . import gadgets
-    from .graph import topological_sort
-
     g, spec = cx.build_truncation(args.n)
     validity = all(
         gadgets.is_valid_gadget(g, h) for h in spec.gadget_registry.values()
     )
     try:
-        topological_sort(g)
+        graph.topological_sort(g)
         acyclic = True
     except MajorityLabError:
         acyclic = False
@@ -284,8 +267,6 @@ def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
 
 
 def _support_mode(text: str) -> infinite.SupportMode:
-    from . import infinite
-
     if text == "true":
         return infinite.SupportMode.FINITE_TRUE
     if text == "false":
@@ -294,8 +275,6 @@ def _support_mode(text: str) -> infinite.SupportMode:
 
 
 def _cmd_infinite_check(args: argparse.Namespace) -> int:
-    from . import infinite
-
     support = frozenset(_parse_id_list(args.support))
     d = infinite.SupportColoring(_support_mode(args.mode), support)
     witness = infinite.check_symbolic(d)
@@ -308,19 +287,17 @@ def _cmd_infinite_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
-    from . import infinite
-
     try:
         report = infinite.theorem_sweep(args.max_size, args.max_pos)
     except SweepFailure as e:
         print(f"feasible description found: {e.description}", file=sys.stderr)
         return 1
-    rows = [f"# {line.strip().rstrip('.')}." for line in report.note.split(".  ")]
-    rows.append("mode,support,witness")
+    for line in report.note.split(".  "):
+        print(f"# {line.strip().rstrip('.')}.")
+    print("mode,support,witness")
     for entry in report.entries:
         support = "+".join(str(p) for p in sorted(entry.description.support))
-        rows.append(f"{entry.description.mode.value},{support},{entry.witness}")
-    _write_rows(rows)
+        print(f"{entry.description.mode.value},{support},{entry.witness}")
     return 0
 
 
@@ -328,44 +305,42 @@ def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_multigraph_solve(args: argparse.Namespace) -> int:
-    from . import multigraph
-
     mg = _parse_multigraph(_read_file(args.file))
     result = multigraph.local_search_2color(mg)
-    _write_rows(f"{v} {c}" for v, c in enumerate(result.coloring.colors))
+    for v, c in enumerate(result.coloring.colors):
+        print(f"{v} {c}")
     print(f"# flips: {result.flips}", file=sys.stderr)
     return 0 if multigraph.verify_weighted(mg, result.coloring).satisfied else 1
 
 
 def _cmd_multigraph_search(args: argparse.Namespace) -> int:
-    from . import multigraph
-
     findings = multigraph.search_non_k_colorable(args.max_v, args.max_w, args.k)
-    rows = [f"# findings: {len(findings)}"]
+    if not findings:
+        print("# findings: 0")
+        return 0
+    print(f"# findings: {len(findings)}")
     for idx, mg in enumerate(findings):
-        rows.append(f"# instance {idx}: vertices={mg.vertex_count} "
-                    f"total_weight={mg.total_weight}")
-        rows += [f"{u} {v} {w}" for u, v, w in mg.edges()]
-        rows.append("")
-    _write_rows(rows)
-    return 1 if findings else 0
+        print(f"# instance {idx}: vertices={mg.vertex_count} "
+              f"total_weight={mg.total_weight}")
+        for u, v, w in mg.edges():
+            print(f"{u} {v} {w}")
+        print()
+    return 1
 
 
 # --- graph group -----------------------------------------------------------
 
 
 def _cmd_graph_convert(args: argparse.Namespace) -> int:
-    from .graph import from_dot, from_text_with_names, to_dot, to_text
-
     text = _read_file(args.input)
     if text.lstrip().startswith("digraph"):
-        g, names = from_dot(text)
+        g, names = graph.from_dot(text)
     else:
-        g, names = from_text_with_names(text)
+        g, names = graph.from_text_with_names(text)
     if args.to == "dot":
-        sys.stdout.write(to_dot(g, names))
+        sys.stdout.write(graph.to_dot(g, names))
     else:
-        sys.stdout.write(to_text(g, names))
+        sys.stdout.write(graph.to_text(g, names))
     return 0
 
 

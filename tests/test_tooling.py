@@ -13,6 +13,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,16 @@ SPANS = BENCH / "spans.py"
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
 
 
-def test_every_wrapped_function_exists():
+def _wrapped() -> tuple:
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    assert spans.WRAPPED
-    for module_name, attr, _, _ in spans.WRAPPED:
+    return spans.WRAPPED
+
+
+def test_every_wrapped_function_exists():
+    assert _wrapped()
+    for module_name, attr, _, _ in _wrapped():
         module = importlib.import_module(f"majoritylab.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
@@ -41,3 +48,19 @@ def test_cli_stdout_matches_golden_digest(line):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert dispatch(line.split()) == code
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def test_importing_the_cli_enters_every_wrapped_module():
+    # A traced run wraps only the modules already in sys.modules, and the
+    # cli-pipeline workload imports just graph, majority and cli before it.
+    script = "import sys, majoritylab.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(BENCH.parent / "src")),
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    for module_name, _, _, _ in _wrapped():
+        assert f"majoritylab.{module_name}" in loaded, module_name
