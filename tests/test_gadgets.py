@@ -73,6 +73,15 @@ class TestConstruction:
             assert nxt.left == prev.collector
         assert handle.output == handle.stages[-1].collector
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_chain_fields_follow_vertex_order(self, k):
+        # Fresh vertices are appended after the inputs, and the last one
+        # created is the final collector.
+        g, handle = fresh_chain(k)
+        assert handle.inputs == tuple(range(1, k + 1))
+        assert handle.output == g.vertex_count - 1
+        assert handle.internal == frozenset(range(k + 1, g.vertex_count))
+
     def test_inputs_and_anchor_gain_no_out_edges(self):
         g = DiGraph(3)
         before = [g.out_degree(v) for v in range(3)]
