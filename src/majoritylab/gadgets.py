@@ -47,13 +47,37 @@ class GadgetStage:
 
 @dataclass(frozen=True)
 class GadgetHandle:
-    """Records a built gadget: anchor, ordered inputs, output, internals."""
+    """A built OR chain: its anchor and its binary stages, in order.
+
+    Stage s ORs the previous stage's collector with input s+1, so the
+    inputs, the output and the internal vertices all follow from the
+    stages; the constructor rejects stages that do not form such a chain.
+    """
 
     anchor: VertexId
-    inputs: tuple[VertexId, ...]
-    output: VertexId
-    internal: frozenset[VertexId]
     stages: tuple[GadgetStage, ...]
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            raise ValueError("a gadget needs at least one stage")
+        for prev, stage in zip(self.stages, self.stages[1:]):
+            if stage.left != prev.collector:
+                raise ValueError("a stage's left input is not the previous collector")
+        fresh = [v for stage in self.stages for v in stage.fresh]
+        if len(set(fresh)) != len(fresh):
+            raise ValueError("a fresh vertex id repeats across stages")
+
+    @property
+    def inputs(self) -> tuple[VertexId, ...]:
+        return (self.stages[0].left, *(s.right for s in self.stages))
+
+    @property
+    def output(self) -> VertexId:
+        return self.stages[-1].collector
+
+    @property
+    def internal(self) -> frozenset[VertexId]:
+        return frozenset(v for stage in self.stages for v in stage.fresh)
 
     @property
     def members(self) -> frozenset[VertexId]:
@@ -79,34 +103,8 @@ class SemanticsReport:
 def build_or2(
     g: DiGraph, anchor: VertexId, first: VertexId, second: VertexId
 ) -> GadgetHandle:
-    """Attach a binary OR gadget; adds 4 vertices and 6 edges.
-
-    Fresh vertices are created in the order (neg_left, neg_right,
-    neg_anchor, collector); the collector is the output.
-    """
-    if len({anchor, first, second}) != 3:
-        raise ValueError("anchor and the two inputs must be distinct")
-    for v in (anchor, first, second):
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} does not exist")
-    neg_left = g.add_vertex()
-    neg_right = g.add_vertex()
-    neg_anchor = g.add_vertex()
-    collector = g.add_vertex()
-    g.add_edge(neg_left, first)
-    g.add_edge(neg_right, second)
-    g.add_edge(neg_anchor, anchor)
-    g.add_edge(collector, neg_left)
-    g.add_edge(collector, neg_right)
-    g.add_edge(collector, neg_anchor)
-    stage = GadgetStage(first, second, neg_left, neg_right, neg_anchor, collector)
-    return GadgetHandle(
-        anchor=anchor,
-        inputs=(first, second),
-        output=collector,
-        internal=frozenset(stage.fresh),
-        stages=(stage,),
-    )
+    """Attach a binary OR gadget; adds 4 vertices and 6 edges."""
+    return build_or_chain(g, anchor, (first, second))
 
 
 def build_or_chain(
@@ -116,7 +114,9 @@ def build_or_chain(
 
     Stage s ORs the previous stage's output with input s+1, so a chain
     over k inputs has k-1 stages, 4(k-1) internal vertices and 6(k-1)
-    edges.  For k = 2 this is exactly :func:`build_or2`.
+    edges.  Each stage creates its fresh vertices in the order
+    (neg_left, neg_right, neg_anchor, collector); the last collector is
+    the output.  All arguments are checked before the graph changes.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
@@ -125,17 +125,27 @@ def build_or_chain(
         raise ValueError("chain inputs must be distinct")
     if anchor in inputs:
         raise ValueError("the anchor cannot be a chain input")
-    handle = build_or2(g, anchor, inputs[0], inputs[1])
-    for nxt in inputs[2:]:
-        stage = build_or2(g, anchor, handle.output, nxt)
-        handle = GadgetHandle(
-            anchor=anchor,
-            inputs=handle.inputs + (nxt,),
-            output=stage.output,
-            internal=handle.internal | stage.internal,
-            stages=handle.stages + stage.stages,
+    for v in (anchor, *inputs):
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"vertex {v} does not exist")
+    stages: list[GadgetStage] = []
+    left = inputs[0]
+    for right in inputs[1:]:
+        neg_left = g.add_vertex()
+        neg_right = g.add_vertex()
+        neg_anchor = g.add_vertex()
+        collector = g.add_vertex()
+        g.add_edge(neg_left, left)
+        g.add_edge(neg_right, right)
+        g.add_edge(neg_anchor, anchor)
+        g.add_edge(collector, neg_left)
+        g.add_edge(collector, neg_right)
+        g.add_edge(collector, neg_anchor)
+        stages.append(
+            GadgetStage(left, right, neg_left, neg_right, neg_anchor, collector)
         )
-    return handle
+        left = collector
+    return GadgetHandle(anchor, tuple(stages))
 
 
 def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:
@@ -228,22 +238,6 @@ def _certify_binary_stage() -> None:
         )
 
 
-def _check_chain_shape(handle: GadgetHandle) -> None:
-    stages = handle.stages
-    if len(handle.inputs) < 2 or len(stages) != len(handle.inputs) - 1:
-        raise NotUnique("handle does not describe a builder-produced chain")
-    fresh: list[int] = []
-    for s, stage in enumerate(stages):
-        expected_left = handle.inputs[0] if s == 0 else stages[s - 1].collector
-        if stage.left != expected_left or stage.right != handle.inputs[s + 1]:
-            raise NotUnique("stage inputs do not follow the chain layout")
-        fresh.extend(stage.fresh)
-    if len(set(fresh)) != len(fresh) or set(fresh) != set(handle.internal):
-        raise NotUnique("stage vertex records do not match the internal set")
-    if handle.output != stages[-1].collector:
-        raise NotUnique("output is not the last stage's collector")
-
-
 def forced_extension(
     handle: GadgetHandle, input_truths: Sequence[bool]
 ) -> dict[VertexId, bool]:
@@ -251,14 +245,13 @@ def forced_extension(
 
     Per stage: both negators take the negation of their target's truth,
     the anchor negator is false, and the collector takes the OR of the
-    stage inputs.  Raises NotUnique when the handle does not have the
-    certified chain shape.
+    stage inputs.  Raises NotUnique when the binary stage fails its
+    oracle certification.
     """
     if len(input_truths) != len(handle.inputs):
         raise ValueError(
             f"expected {len(handle.inputs)} input truths, got {len(input_truths)}"
         )
-    _check_chain_shape(handle)
     _certify_binary_stage()
     truths: dict[int, bool] = {}
     left = bool(input_truths[0])

@@ -3,9 +3,11 @@ import itertools
 
 import pytest
 
+from majoritylab import gadgets
 from majoritylab.errors import ChainTooShort, NotUnique, TooLarge
 from majoritylab.gadgets import (
     DEFAULT_EXHAUSTION_BOUND,
+    GadgetHandle,
     build_or2,
     build_or_chain,
     forced_extension,
@@ -82,11 +84,71 @@ class TestConstruction:
         assert handle.output == g.vertex_count - 1
         assert handle.internal == frozenset(range(k + 1, g.vertex_count))
 
+    @pytest.mark.parametrize(
+        ("anchor", "inputs", "message"),
+        [
+            (0, (1, 1), "chain inputs must be distinct"),
+            (0, (1, 2, 1), "chain inputs must be distinct"),
+            (1, (1, 2), "the anchor cannot be a chain input"),
+            (9, (1, 2), "vertex 9 does not exist"),
+            (0, (1, 2, 3, 9), "vertex 9 does not exist"),
+            (0, (-1, 2), "vertex -1 does not exist"),
+        ],
+    )
+    def test_bad_chain_leaves_graph_unchanged(self, anchor, inputs, message):
+        g = DiGraph(4)
+        with pytest.raises(ValueError, match=message):
+            build_or_chain(g, anchor, inputs)
+        assert g == DiGraph(4)
+
+    @pytest.mark.parametrize(
+        ("anchor", "first", "second"), [(0, 1, 1), (1, 1, 2), (2, 1, 2)]
+    )
+    def test_binary_rejects_repeated_vertex(self, anchor, first, second):
+        g = DiGraph(3)
+        with pytest.raises(ValueError):
+            build_or2(g, anchor, first, second)
+        assert g == DiGraph(3)
+
     def test_inputs_and_anchor_gain_no_out_edges(self):
         g = DiGraph(3)
         before = [g.out_degree(v) for v in range(3)]
         build_or_chain(g, 0, (1, 2))
         assert [g.out_degree(v) for v in range(3)] == before
+
+
+class TestHandleShape:
+    def test_handle_holds_anchor_and_stages_only(self):
+        assert [f.name for f in dataclasses.fields(GadgetHandle)] == [
+            "anchor", "stages"
+        ]
+
+    def test_members(self):
+        _, handle = fresh_chain(3)
+        assert handle.members == frozenset(range(4)) | handle.internal
+
+    def test_empty_stages_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            GadgetHandle(0, ())
+
+    def test_reversed_stages_rejected(self):
+        _, handle = fresh_chain(3)
+        with pytest.raises(ValueError, match="previous collector"):
+            GadgetHandle(handle.anchor, handle.stages[::-1])
+
+    def test_repeated_fresh_id_rejected(self):
+        _, handle = fresh_chain(3)
+        first, second = handle.stages
+        clash = dataclasses.replace(second, neg_right=first.neg_left)
+        with pytest.raises(ValueError, match="repeats"):
+            GadgetHandle(handle.anchor, (first, clash))
+
+    def test_prefix_of_stages_is_a_shorter_chain(self):
+        _, handle = fresh_chain(4)
+        short = dataclasses.replace(handle, stages=handle.stages[:2])
+        assert short.inputs == (1, 2, 3)
+        assert short.output == handle.stages[1].collector
+        assert len(short.internal) == 8
 
 
 class TestValidity:
@@ -220,11 +282,11 @@ class TestForcedExtension:
         with pytest.raises(ValueError):
             forced_extension(handle, (True,))
 
-    def test_malformed_handle_not_unique(self):
+    def test_uncertified_stage_not_unique(self, monkeypatch):
         _, handle = fresh_chain(3)
-        tampered = dataclasses.replace(handle, stages=handle.stages[:1])
-        with pytest.raises(NotUnique):
-            forced_extension(tampered, (True, False, False))
+        monkeypatch.setattr(gadgets, "_STAGE_CERTIFIED", False)
+        with pytest.raises(NotUnique, match="failed oracle certification"):
+            forced_extension(handle, (True, False, False))
 
 
 def test_stage_names_cover_internals():
