@@ -44,6 +44,16 @@ class SupportColoring:
         inside = position in self.support
         return inside if self.mode is SupportMode.FINITE_TRUE else not inside
 
+    def next_true(self, position: int) -> int | None:
+        """Smallest true position >= position, or None when there is none."""
+        if position < 1:
+            raise ValueError("path positions are 1-based")
+        if self.mode is SupportMode.FINITE_TRUE:
+            return min((p for p in self.support if p >= position), default=None)
+        while position in self.support:
+            position += 1
+        return position
+
     @property
     def stationary_from(self) -> int:
         """First position from which truth and out-profile no longer change."""
@@ -68,25 +78,12 @@ def out_profile(
     """
     if position < 1:
         raise ValueError("path positions are 1-based")
-    succ_true = d.truth(position + 1)
-    if d.mode is SupportMode.FINITE_TRUE:
-        later = [p for p in d.support if p >= position + 1]
-        if not later:
-            # Every out-neighbor is false.
-            return 0, math.inf
-        first_true = min(later)
-        # Outputs with j >= first_true are true; those with j < first_true
-        # see an all-false interval.
-        false_outputs = max(0, first_true - position - 2)
-        false_count = false_outputs + (0 if succ_true else 1)
-        return math.inf, false_count
-    # finite-false: an output is false only while its whole interval sits
-    # inside the support, i.e. for the consecutive run starting at
-    # position+1; everything after the run is true.
-    run = 0
-    while position + 1 + run in d.support:
-        run += 1
-    return math.inf, run
+    # The successor and every output whose interval stops short of the
+    # next true position are false; all later outputs are true.
+    first_true = d.next_true(position + 1)
+    if first_true is None:
+        return 0, math.inf
+    return math.inf, first_true - position - 1
 
 
 def check_symbolic(d: SupportColoring) -> int | None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -36,8 +37,51 @@ class TestSupportColoring:
     def test_rendering(self):
         assert str(true_support(3, 1)) == "finite-true{1,3}"
 
+    def test_next_true(self):
+        assert true_support(2, 5).next_true(1) == 2
+        assert true_support(2, 5).next_true(3) == 5
+        assert true_support(2, 5).next_true(6) is None
+        assert true_support().next_true(1) is None
+        assert false_support(2, 3, 5).next_true(2) == 4
+        assert false_support(2, 3, 5).next_true(4) == 4
+        assert false_support().next_true(7) == 7
+        with pytest.raises(ValueError):
+            false_support().next_true(0)
+
+
+def profile_by_definition(position, d):
+    """(true_count, false_count) read off the out-neighbors one by one.
+
+    The successor counts once, and so does the output of the gadget over
+    (position+1 .. j) for every j up to a window end past stationarity;
+    every output beyond the window sees the same OR, since the truths
+    past the support are constant, so that value counts math.inf times.
+    """
+    counts = {True: 0, False: 0}
+    counts[d.truth(position + 1)] += 1
+    window_end = max(d.stationary_from, position + 2)
+    seen_true = d.truth(position + 1)
+    for j in range(position + 2, window_end + 1):
+        seen_true = seen_true or d.truth(j)
+        counts[seen_true] += 1
+    counts[seen_true or d.truth(window_end + 1)] = math.inf
+    return counts[True], counts[False]
+
 
 class TestOutProfile:
+    def test_matches_definition_exhaustively(self):
+        checked = 0
+        for mode in SupportMode:
+            for size in range(4):
+                for support in itertools.combinations(range(1, 11), size):
+                    d = SupportColoring(mode, frozenset(support))
+                    for position in range(1, 16):
+                        assert out_profile(position, d) == profile_by_definition(
+                            position, d
+                        ), (d, position)
+                        checked += 1
+        assert checked == 5280
+
     def test_all_false(self):
         d = true_support()
         for i in (1, 2, 17):
