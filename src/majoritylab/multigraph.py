@@ -22,6 +22,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, OutOfRangeError, SelfLoopError
@@ -204,32 +205,6 @@ def _weight_vectors(num_pairs: int, max_total: int) -> Iterator[tuple[int, ...]]
             yield (head,) + tail
 
 
-def _signature(mg: WeightedMultigraph) -> tuple:
-    """Isomorphism-invariant fingerprint: sorted per-vertex incident weights."""
-    return tuple(
-        sorted(
-            tuple(sorted(w for _, w in mg.incident(v)))
-            for v in range(mg.vertex_count)
-        )
-    )
-
-
-def _isomorphic(a: WeightedMultigraph, b: WeightedMultigraph) -> bool:
-    if a.vertex_count != b.vertex_count:
-        return False
-    b_edges = {(u, v): w for u, v, w in b.edges()}
-    a_edges = a.edges()
-    if len(a_edges) != len(b_edges):
-        return False
-    for perm in itertools.permutations(range(a.vertex_count)):
-        if all(
-            b_edges.get((min(perm[u], perm[v]), max(perm[u], perm[v]))) == w
-            for u, v, w in a_edges
-        ):
-            return True
-    return False
-
-
 def _search_estimate(max_vertices: int, max_total_weight: int, k: int) -> int:
     # Cost model: weight vectors to enumerate times colorings to test each.
     total = 0
@@ -247,25 +222,32 @@ def _instances(
 
     Instances are grouped by vertex count with no isolated vertices (an
     isolated vertex is always satisfied, so such instances collapse to a
-    smaller one); the single-vertex edgeless instance is the exception.
-    Deduplication buckets by signature and settles collisions with an
-    exact permutation check, which stays cheap for the v <= 6 scope.
+    smaller one); the single-vertex edgeless instance, yielded first, is
+    the exception.  The first weight vector of each class is kept.  A
+    class is keyed by its smallest relabelled vector under all vertex
+    permutations, read through tables built once per vertex count, which
+    stays cheap for the v <= 6 scope.
     """
-    for v in range(1, max_vertices + 1):
+    yield WeightedMultigraph(1)
+    for v in range(2, max_vertices + 1):
         pairs = list(itertools.combinations(range(v), 2))
-        seen: dict[tuple, list[WeightedMultigraph]] = {}
+        index = {pair: i for i, pair in enumerate(pairs)}
+        relabellings = [
+            itemgetter(*(index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs))
+            for p in itertools.permutations(range(v))
+        ]
+        seen: set[object] = set()  # one pair (v = 2) relabels to a bare int
         for vector in _weight_vectors(len(pairs), max_total_weight):
             mg = WeightedMultigraph(v)
             for (a, b), w in zip(pairs, vector):
                 if w > 0:
                     mg.add_edge(a, b, w)
-            if v >= 2 and any(mg.degree_weight(x) == 0 for x in range(v)):
+            if any(mg.degree_weight(x) == 0 for x in range(v)):
                 continue
-            sig = _signature(mg)
-            bucket = seen.setdefault(sig, [])
-            if any(_isomorphic(mg, other) for other in bucket):
+            key = min([relabel(vector) for relabel in relabellings])
+            if key in seen:
                 continue
-            bucket.append(mg)
+            seen.add(key)
             yield mg
 
 

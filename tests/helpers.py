@@ -13,7 +13,7 @@ from majoritylab.counterexample import truncation_extension
 from majoritylab.errors import CycleFound
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
-from majoritylab.multigraph import WeightedMultigraph
+from majoritylab.multigraph import WeightedMultigraph, _weight_vectors
 
 
 def random_dag(rng: random.Random, max_vertices: int, edge_prob: float | None = None) -> DiGraph:
@@ -98,6 +98,54 @@ def seeded_multigraph(seed: int) -> WeightedMultigraph:
         u, v = rng.sample(range(300), 2)
         mg.add_edge(u, v, rng.randint(1, 5))
     return mg
+
+
+def _signature(mg: WeightedMultigraph) -> tuple:
+    return tuple(
+        sorted(
+            tuple(sorted(w for _, w in mg.incident(v)))
+            for v in range(mg.vertex_count)
+        )
+    )
+
+
+def _isomorphic(a: WeightedMultigraph, b: WeightedMultigraph) -> bool:
+    b_edges = {(u, v): w for u, v, w in b.edges()}
+    a_edges = a.edges()
+    if a.vertex_count != b.vertex_count or len(a_edges) != len(b_edges):
+        return False
+    return any(
+        all(
+            b_edges.get((min(perm[u], perm[v]), max(perm[u], perm[v]))) == w
+            for u, v, w in a_edges
+        )
+        for perm in itertools.permutations(range(a.vertex_count))
+    )
+
+
+def bucket_instances(max_vertices: int, max_total_weight: int) -> list[WeightedMultigraph]:
+    """Oracle: the multigraph search's instances, deduplicated pairwise.
+
+    Buckets candidates by a sorted incident-weight fingerprint and keeps
+    the first one that no earlier member of its bucket maps onto under a
+    vertex permutation.
+    """
+    kept = []
+    for v in range(1, max_vertices + 1):
+        pairs = list(itertools.combinations(range(v), 2))
+        buckets: dict[tuple, list[WeightedMultigraph]] = {}
+        for vector in _weight_vectors(len(pairs), max_total_weight):
+            mg = WeightedMultigraph(v)
+            for (a, b), w in zip(pairs, vector):
+                if w > 0:
+                    mg.add_edge(a, b, w)
+            if v >= 2 and any(mg.degree_weight(x) == 0 for x in range(v)):
+                continue
+            bucket = buckets.setdefault(_signature(mg), [])
+            if not any(_isomorphic(mg, other) for other in bucket):
+                bucket.append(mg)
+                kept.append(mg)
+    return kept
 
 
 def rescan_local_search(mg: WeightedMultigraph) -> tuple[int, tuple[int, ...]]:

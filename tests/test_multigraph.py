@@ -5,12 +5,19 @@ import random
 import pytest
 from hypothesis import given
 
-from helpers import multigraphs, random_multigraph, rescan_local_search, seeded_multigraph
+from helpers import (
+    bucket_instances,
+    multigraphs,
+    random_multigraph,
+    rescan_local_search,
+    seeded_multigraph,
+)
 from majoritylab.errors import BudgetExceeded, SelfLoopError
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
 from majoritylab.multigraph import (
     WeightedMultigraph,
+    _instances,
     has_majority_k_coloring,
     local_search_2color,
     search_non_k_colorable,
@@ -169,6 +176,15 @@ class TestSearch:
             and mg.total_weight == 2
         ]
         assert len(two_edge_paths) == 1
+
+    @pytest.mark.parametrize(
+        "bounds", [(4, 8), (5, 6), (5, 4), (6, 3), (6, 4), (3, 12)]
+    )
+    def test_instances_match_bucket_oracle(self, bounds):
+        def described(instances):
+            return [(mg.vertex_count, mg.edges()) for mg in instances]
+
+        assert described(_instances(*bounds)) == described(bucket_instances(*bounds))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @given(mg=multigraphs(max_vertices=5))
