@@ -266,17 +266,10 @@ def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
 # --- infinite group --------------------------------------------------------
 
 
-def _support_mode(text: str) -> infinite.SupportMode:
-    if text == "true":
-        return infinite.SupportMode.FINITE_TRUE
-    if text == "false":
-        return infinite.SupportMode.FINITE_FALSE
-    raise ParseError(f"--mode must be 'true' or 'false', got {text!r}")
-
-
 def _cmd_infinite_check(args: argparse.Namespace) -> int:
     support = frozenset(_parse_id_list(args.support))
-    d = infinite.SupportColoring(_support_mode(args.mode), support)
+    mode = infinite.SupportMode(f"finite-{args.mode}")  # argparse limits --mode to true/false
+    d = infinite.SupportColoring(mode, support)
     witness = infinite.check_symbolic(d)
     print("verdict,witness")
     if witness is None:
@@ -315,9 +308,6 @@ def _cmd_multigraph_solve(args: argparse.Namespace) -> int:
 
 def _cmd_multigraph_search(args: argparse.Namespace) -> int:
     findings = multigraph.search_non_k_colorable(args.max_v, args.max_w, args.k)
-    if not findings:
-        print("# findings: 0")
-        return 0
     print(f"# findings: {len(findings)}")
     for idx, mg in enumerate(findings):
         print(f"# instance {idx}: vertices={mg.vertex_count} "
@@ -325,7 +315,7 @@ def _cmd_multigraph_search(args: argparse.Namespace) -> int:
         for u, v, w in mg.edges():
             print(f"{u} {v} {w}")
         print()
-    return 1
+    return 1 if findings else 0
 
 
 # --- graph group -----------------------------------------------------------

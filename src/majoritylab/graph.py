@@ -244,6 +244,16 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # json.loads would otherwise keep the last of two equal keys silently.
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"repeated key {repeated!r}")
+    return doc
+
+
 def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     """Parse graph text into a graph and its optional name map.
 
@@ -252,7 +262,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     ``edges``, straight into the adjacency lists.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError:

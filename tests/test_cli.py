@@ -89,6 +89,8 @@ class TestUsage:
             ("multigraph solve FILE", "0 1000000000 1\n"),
             (ENUMERATE, '{"vertex_count": 30, "edges": []}'),
             (ENUMERATE, '{"vertex_count": 1000, "edges": []}'),
+            (ENUMERATE, '{"vertex_count": 2, "edges": [], "names": {"1": "a", "1": "b"}}'),
+            (ENUMERATE, '{"vertex_count": 3, "edges": [[0, 1]], "edges": [], "vertex_count": 2}'),
         ],
         ids=[
             "deep-nesting",
@@ -98,6 +100,8 @@ class TestUsage:
             "huge-multigraph-id",
             "too-many-solutions",
             "too-many-wide-solutions",
+            "repeated-names-key",
+            "repeated-top-level-keys",
         ],
     )
     def test_malformed_graph_file_is_a_usage_error(self, tmp_path, command, text):
@@ -274,6 +278,13 @@ class TestInfiniteCommands:
         code, out, _ = run(["infinite", "check", "--mode", "true", "--support", "7"])
         assert code == 1
         assert "violation,8" in out
+
+    def test_check_false_mode(self):
+        # Positions 2 and 3 false, all others true: position 1 is true and
+        # has two false out-neighbors against infinitely many true ones.
+        code, out, _ = run(["infinite", "check", "--mode", "false", "--support", "2,3"])
+        assert code == 1
+        assert out.splitlines() == ["verdict,witness", "violation,1"]
 
     def test_sweep(self):
         code, out, _ = run(["infinite", "sweep", "--max-size", "1", "--max-pos", "3"])

@@ -225,6 +225,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match="'01' is not a canonical integer id"):
             from_text_with_names(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"vertex_count": 2, "edges": [], "names": {"1": "a", "1": "b"}}', "'1'"),
+            ('{"vertex_count": 3, "edges": [[0, 1]], "edges": [], "vertex_count": 2}',
+             "'vertex_count'"),
+        ],
+    )
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(ParseError, match=f"repeated key {key}"):
+            from_text_with_names(text)
+
     @given(st.data())
     def test_names_round_trip_any(self, data):
         g = data.draw(digraphs())
