@@ -268,7 +268,8 @@ def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
 
 def _cmd_infinite_check(args: argparse.Namespace) -> int:
     support = frozenset(_parse_id_list(args.support))
-    mode = infinite.SupportMode(f"finite-{args.mode}")  # argparse limits --mode to true/false
+    # argparse limits --mode to "true" and "false".
+    mode = infinite.SupportMode(f"finite-{args.mode}")
     d = infinite.SupportColoring(mode, support)
     witness = infinite.check_symbolic(d)
     print("verdict,witness")
