@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from majoritylab.counterexample import truncation_extension
 from majoritylab.errors import CycleFound
-from majoritylab.graph import Coloring, DiGraph
+from majoritylab.graph import Coloring, DiGraph, TripletLabel, topological_sort
 from majoritylab.majority import verify
 from majoritylab.multigraph import WeightedMultigraph, _weight_vectors
 
@@ -165,6 +165,32 @@ def rescan_local_search(mg: WeightedMultigraph) -> tuple[int, tuple[int, ...]]:
                 break
         else:
             return flips, tuple(colors)
+
+
+def gadget_internal_sort(g: DiGraph, handle) -> list[int]:
+    """Oracle: a gadget's internal vertices in their own topological sort.
+
+    The sort runs on the subgraph induced by the internal vertices (the
+    gadget in isolation, terminals stripped) with the usual smallest-id
+    tie-break, so it is independent of the rest of the graph.
+    """
+    internal = sorted(handle.internal)
+    local = {v: i for i, v in enumerate(internal)}
+    sub = DiGraph(len(internal))
+    for w in internal:
+        for t in g.out(w):
+            if t in local:
+                sub.add_edge(local[w], local[t])
+    return [internal[local_id] for local_id in topological_sort(sub)]
+
+
+def sorted_sigma_label(g: DiGraph, spec) -> dict[int, TripletLabel]:
+    """Oracle: the σ-labeling with each gadget's positions from its own sort."""
+    labels = {spec.path_vertex(i): TripletLabel(i, 0, 0) for i in range(1, spec.n + 1)}
+    for (i, j), handle in spec.gadget_registry.items():
+        for p, w in enumerate(gadget_internal_sort(g, handle)):
+            labels[w] = TripletLabel(i - 1, j, p)
+    return labels
 
 
 def extension_rule_colorings(g, spec, anchor_colors=(0, 1)):

@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import sorted_sigma_label
+
 from majoritylab.counterexample import (
     build_truncation,
     sigma_label,
@@ -116,6 +118,11 @@ class TestSigma:
         # The output is the earliest internal vertex in the gadget's own
         # topological sort: everything else is reachable from it.
         assert label.k == 0
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_labels_match_per_gadget_sort(self, n):
+        g, spec = build_truncation(n)
+        assert sigma_label(g, spec) == sorted_sigma_label(g, spec)
 
     def test_anchor_unlabeled(self):
         g, spec = build_truncation(4)
