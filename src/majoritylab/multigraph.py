@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -29,8 +28,8 @@ from .errors import BudgetExceeded, OutOfRangeError, SelfLoopError
 from .graph import Coloring, VertexId
 from .majority import DeficiencyReport
 
-DEFAULT_SEARCH_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "MAJORITY_LAB_BUDGET"
+#: Largest estimated cost (weight vectors times k^V) the search accepts.
+SEARCH_BUDGET = 10_000_000
 
 
 class WeightedMultigraph:
@@ -226,7 +225,8 @@ def _instances(
     the exception.  The first weight vector of each class is kept.  A
     class is keyed by its smallest relabelled vector under all vertex
     permutations, read through tables built once per vertex count, which
-    stays cheap for the v <= 6 scope.
+    stays cheap for the v <= 6 scope.  Both tests read the weight vector,
+    so a multigraph is built only for a kept one.
     """
     yield WeightedMultigraph(1)
     for v in range(2, max_vertices + 1):
@@ -236,18 +236,19 @@ def _instances(
             itemgetter(*(index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs))
             for p in itertools.permutations(range(v))
         ]
+        touching = [[i for i, pair in enumerate(pairs) if x in pair] for x in range(v)]
         seen: set[object] = set()  # one pair (v = 2) relabels to a bare int
         for vector in _weight_vectors(len(pairs), max_total_weight):
-            mg = WeightedMultigraph(v)
-            for (a, b), w in zip(pairs, vector):
-                if w > 0:
-                    mg.add_edge(a, b, w)
-            if any(mg.degree_weight(x) == 0 for x in range(v)):
+            if not all(any(vector[i] for i in idx) for idx in touching):
                 continue
             key = min([relabel(vector) for relabel in relabellings])
             if key in seen:
                 continue
             seen.add(key)
+            mg = WeightedMultigraph(v)
+            for (a, b), w in zip(pairs, vector):
+                if w > 0:
+                    mg.add_edge(a, b, w)
             yield mg
 
 
@@ -255,27 +256,22 @@ def search_non_k_colorable(
     max_vertices: int,
     max_total_weight: int,
     k: int,
-    *,
-    budget: int | None = None,
 ) -> list[WeightedMultigraph]:
     """Exhaustively look for instances with no majority k-coloring.
 
     Enumerates one representative per isomorphism class of weighted
     multigraphs within the bounds and brute-forces all k-colorings of
     each.  The estimated cost (weight vectors times k^V) must stay under
-    the budget, which defaults to the MAJORITY_LAB_BUDGET environment
-    variable or 10^7.
+    ``SEARCH_BUDGET``.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     if max_total_weight < 0:
         raise ValueError("max_total_weight must be non-negative")
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_SEARCH_BUDGET))
     estimate = _search_estimate(max_vertices, max_total_weight, k)
-    if estimate > budget:
+    if estimate > SEARCH_BUDGET:
         raise BudgetExceeded(
-            f"estimated {estimate} enumeration steps exceed the budget {budget}"
+            f"estimated {estimate} enumeration steps exceed the budget {SEARCH_BUDGET}"
         )
     return [
         mg

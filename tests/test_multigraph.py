@@ -12,6 +12,7 @@ from helpers import (
     rescan_local_search,
     seeded_multigraph,
 )
+from majoritylab import multigraph
 from majoritylab.errors import BudgetExceeded, SelfLoopError
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
@@ -162,9 +163,10 @@ class TestSearch:
     def test_three_colors_small_window_empty(self):
         assert search_non_k_colorable(4, 8, 3) == []
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
-            search_non_k_colorable(4, 8, 3, budget=10)
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(multigraph, "SEARCH_BUDGET", 10)
+        with pytest.raises(BudgetExceeded, match="exceed the budget 10"):
+            search_non_k_colorable(4, 8, 3)
 
     def test_isomorphic_duplicates_collapse(self):
         # Unit path on 3 vertices: 3 labelings, one representative, and it
