@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
-from .errors import MajorityLabError, ParseError, SweepFailure
+from .errors import MajorityLabError, ParseError, SweepFailure, TooLarge
 
 
 def _lazy(name: str) -> ModuleType:
@@ -143,6 +143,9 @@ def _parse_id_list(text: str) -> list[int]:
 
 def _isolated_chain(k: int) -> tuple[graph.DiGraph, gadgets.GadgetHandle, dict[int, str]]:
     """A fresh graph holding only an anchor, k inputs, and one chain gadget."""
+    if 5 * k - 3 > graph.MAX_VERTICES:  # checked before the k + 1 terminals exist
+        raise TooLarge(f"a {k}-input chain would have {5 * k - 3} vertices, "
+                       f"past the cap {graph.MAX_VERTICES}")
     g = graph.DiGraph(k + 1)
     anchor = 0
     inputs = tuple(range(1, k + 1))

@@ -15,11 +15,13 @@ truncations are therefore byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import TooLarge
 from .gadgets import GadgetHandle, build_or_chain, forced_extension, stage_names
-from .graph import DiGraph, TripletLabel, VertexId, topological_sort
+from .graph import MAX_VERTICES, DiGraph, TripletLabel, VertexId
 
 SigmaLabeling = dict[VertexId, TripletLabel]
 
@@ -47,9 +49,12 @@ class SigmaCheckResult:
 
 
 def build_truncation(n: int) -> tuple[DiGraph, TruncationSpec]:
-    """Build G_n for n >= 2."""
+    """Build G_n for n >= 2; it has n + 1 + 4 C(n, 3) vertices."""
     if n < 2:
         raise ValueError("truncation depth must be at least 2")
+    size = n + 1 + 4 * math.comb(n, 3)
+    if size > MAX_VERTICES:
+        raise TooLarge(f"G_{n} would have {size} vertices, past the cap {MAX_VERTICES}")
     g = DiGraph(n + 1)  # path ids 0..n-1, anchor id n
     anchor = n
     for m in range(n - 1):
@@ -89,37 +94,20 @@ def truncation_extension(g: DiGraph, spec: TruncationSpec):
     return rule
 
 
-def _gadget_internal_sort(g: DiGraph, handle: GadgetHandle) -> dict[VertexId, int]:
-    """Positions of the gadget's internal vertices in their own topological sort.
-
-    The sort runs on the subgraph induced by the internal vertices (the
-    gadget in isolation, terminals stripped) with the usual smallest-id
-    tie-break, so it is independent of the rest of the graph.
-    """
-    internal = sorted(handle.internal)
-    local = {v: i for i, v in enumerate(internal)}
-    sub = DiGraph(len(internal))
-    for w in internal:
-        for t in g.out(w):
-            if t in local:
-                sub.add_edge(local[w], local[t])
-    order = topological_sort(sub)
-    return {internal[local_id]: pos for pos, local_id in enumerate(order)}
-
-
 def sigma_label(g: DiGraph, spec: TruncationSpec) -> SigmaLabeling:
     """The triplet labeling certifying acyclicity.
 
     Path vertex v_i gets (i, 0, 0); an internal vertex w of the (i, j)
-    gadget gets (i-1, j, p) where p is w's position in the gadget's own
-    topological sort.  The anchor carries no label.
+    gadget gets (i-1, j, p) where p is w's position in the stage order
+    ``GadgetHandle.internal_order``, a topological order of the gadget's
+    internals.  The anchor carries no label.  ``verify_sigma`` checks the
+    result edge by edge, without trusting that order.
     """
     labels: SigmaLabeling = {}
     for i in range(1, spec.n + 1):
         labels[spec.path_vertex(i)] = TripletLabel(i, 0, 0)
     for (i, j), handle in spec.gadget_registry.items():
-        positions = _gadget_internal_sort(g, handle)
-        for w, p in positions.items():
+        for p, w in enumerate(handle.internal_order):
             labels[w] = TripletLabel(i - 1, j, p)
     return labels
 

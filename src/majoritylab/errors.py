@@ -44,7 +44,7 @@ class ChainTooShort(MajorityLabError):
 
 
 class TooLarge(MajorityLabError):
-    """Exhaustive enumeration was refused; the search space exceeds the bound."""
+    """A request was refused: its search space or built graph passes a bound."""
 
 
 class NotUnique(MajorityLabError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ChainTooShort, NotUnique, TooLarge
-from .graph import DiGraph, VertexId
+from .graph import MAX_VERTICES, DiGraph, VertexId
 from .majority import monochromatic
 
 #: Refuse exhaustive semantics checks beyond this many internal vertices.
@@ -80,6 +80,19 @@ class GadgetHandle:
         return frozenset(v for stage in self.stages for v in stage.fresh)
 
     @property
+    def internal_order(self) -> tuple[VertexId, ...]:
+        """The internal vertices in topological order, sources first.
+
+        A collector points at its stage's negators and a left negator at
+        the previous collector, so (collector, neg_left) runs from the last
+        stage back to the first; the right and anchor negators, which point
+        only outside the internals, follow stage by stage.
+        """
+        back = (v for s in reversed(self.stages) for v in (s.collector, s.neg_left))
+        rest = (v for s in self.stages for v in (s.neg_right, s.neg_anchor))
+        return (*back, *rest)
+
+    @property
     def members(self) -> frozenset[VertexId]:
         """The whole gadget vertex set: anchor, inputs and internals."""
         return self.internal | frozenset(self.inputs) | {self.anchor}
@@ -116,11 +129,16 @@ def build_or_chain(
     over k inputs has k-1 stages, 4(k-1) internal vertices and 6(k-1)
     edges.  Each stage creates its fresh vertices in the order
     (neg_left, neg_right, neg_anchor, collector); the last collector is
-    the output.  All arguments are checked before the graph changes.
+    the output.  All arguments, and the grown graph's size against
+    ``MAX_VERTICES``, are checked before the graph changes.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
         raise ChainTooShort(f"chained OR needs at least 2 inputs, got {len(inputs)}")
+    size = g.vertex_count + 4 * (len(inputs) - 1)
+    if size > MAX_VERTICES:
+        raise TooLarge(f"the chain would grow the graph to {size} vertices, "
+                       f"past the cap {MAX_VERTICES}")
     if len(set(inputs)) != len(inputs):
         raise ValueError("chain inputs must be distinct")
     if anchor in inputs:

@@ -91,6 +91,10 @@ class TestUsage:
             (ENUMERATE, '{"vertex_count": 1000, "edges": []}'),
             (ENUMERATE, '{"vertex_count": 2, "edges": [], "names": {"1": "a", "1": "b"}}'),
             (ENUMERATE, '{"vertex_count": 3, "edges": [[0, 1]], "edges": [], "vertex_count": 2}'),
+            ("counterexample build --n 300", ""),
+            ("counterexample verify --n 300", ""),
+            ("gadget dot --inputs 100000000", ""),
+            ("gadget verify --inputs 100000000", ""),
         ],
         ids=[
             "deep-nesting",
@@ -102,6 +106,10 @@ class TestUsage:
             "too-many-wide-solutions",
             "repeated-names-key",
             "repeated-top-level-keys",
+            "huge-truncation-build",
+            "huge-truncation-verify",
+            "huge-chain-dot",
+            "huge-chain-verify",
         ],
     )
     def test_malformed_graph_file_is_a_usage_error(self, tmp_path, command, text):
@@ -109,7 +117,8 @@ class TestUsage:
         # (the "property violated" code) plus a traceback.  The address-space
         # limit makes an oversized allocation fail fast in the child instead
         # of exhausting the machine.  The edgeless graphs parse, but their
-        # 2^30 and 2^1000 colorings are refused by the enumerator.
+        # 2^30 and 2^1000 colorings are refused by the enumerator.  The
+        # generated graphs need no file and are refused before they are built.
         f = tmp_path / "bad.txt"
         f.write_text(text, encoding="utf-8")
         src = Path(__file__).resolve().parent.parent / "src"

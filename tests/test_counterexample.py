@@ -1,13 +1,16 @@
+import math
+
 import pytest
 
 from helpers import sorted_sigma_label
-
+from majoritylab import counterexample
 from majoritylab.counterexample import (
     build_truncation,
     sigma_label,
     truncation_names,
     verify_sigma,
 )
+from majoritylab.errors import TooLarge
 from majoritylab.gadgets import is_valid_gadget
 from majoritylab.graph import TripletLabel, to_text, topological_sort
 from majoritylab.majority import greedy_dag_2color, verify
@@ -30,6 +33,23 @@ class TestLayout:
         assert len(spec.gadget_registry[(2, 3)].internal) == 4
         assert len(spec.gadget_registry[(2, 4)].internal) == 8
         assert len(spec.gadget_registry[(3, 4)].internal) == 4
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_vertex_count_formula(self, n):
+        g, _ = build_truncation(n)
+        assert g.vertex_count == n + 1 + 4 * math.comb(n, 3)
+
+    def test_size_cap(self, monkeypatch):
+        # G_115 has 987736 vertices and G_116 1013957, past MAX_VERTICES;
+        # the refusal comes before anything is built.
+        with pytest.raises(TooLarge, match="G_116 would have 1013957 vertices"):
+            build_truncation(116)
+        with pytest.raises(TooLarge):
+            build_truncation(10**9)
+        monkeypatch.setattr(counterexample, "MAX_VERTICES", 46)
+        assert build_truncation(5)[0].vertex_count == 46
+        with pytest.raises(TooLarge):
+            build_truncation(6)
 
     def test_depth_four_first_vertex_out_edges(self):
         g, spec = build_truncation(4)

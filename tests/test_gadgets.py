@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from helpers import gadget_internal_sort
 from majoritylab import gadgets
 from majoritylab.errors import ChainTooShort, NotUnique, TooLarge
 from majoritylab.gadgets import (
@@ -110,6 +111,15 @@ class TestConstruction:
             build_or2(g, anchor, first, second)
         assert g == DiGraph(3)
 
+    def test_size_cap_leaves_graph_unchanged(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "MAX_VERTICES", 8)
+        g = DiGraph(4)
+        with pytest.raises(TooLarge, match="grow the graph to 12 vertices"):
+            build_or_chain(g, 0, (1, 2, 3))
+        assert g == DiGraph(4)
+        build_or_chain(g, 0, (1, 2))
+        assert g.vertex_count == 8
+
     def test_inputs_and_anchor_gain_no_out_edges(self):
         g = DiGraph(3)
         before = [g.out_degree(v) for v in range(3)]
@@ -142,6 +152,25 @@ class TestHandleShape:
         clash = dataclasses.replace(second, neg_right=first.neg_left)
         with pytest.raises(ValueError, match="repeats"):
             GadgetHandle(handle.anchor, (first, clash))
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_internal_order_matches_sort(self, k):
+        g, handle = fresh_chain(k)
+        assert list(handle.internal_order) == gadget_internal_sort(g, handle)
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_internal_order_positions(self, k):
+        # Stage s of S: collector 2(S-s), neg_left 2(S-s)+1,
+        # neg_right 2S+2(s-1), neg_anchor 2S+2s-1.
+        _, handle = fresh_chain(k)
+        order = handle.internal_order
+        big_s = len(handle.stages)
+        for s, stage in enumerate(handle.stages, 1):
+            assert order[2 * (big_s - s)] == stage.collector
+            assert order[2 * (big_s - s) + 1] == stage.neg_left
+            assert order[2 * big_s + 2 * (s - 1)] == stage.neg_right
+            assert order[2 * big_s + 2 * s - 1] == stage.neg_anchor
+        assert sorted(order) == sorted(handle.internal)
 
     def test_prefix_of_stages_is_a_shorter_chain(self):
         _, handle = fresh_chain(4)
