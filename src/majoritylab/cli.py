@@ -143,9 +143,8 @@ def _parse_id_list(text: str) -> list[int]:
 
 def _isolated_chain(k: int) -> tuple[graph.DiGraph, gadgets.GadgetHandle, dict[int, str]]:
     """A fresh graph holding only an anchor, k inputs, and one chain gadget."""
-    if 5 * k - 3 > graph.MAX_VERTICES:  # checked before the k + 1 terminals exist
-        raise TooLarge(f"a {k}-input chain would have {5 * k - 3} vertices, "
-                       f"past the cap {graph.MAX_VERTICES}")
+    if 5 * k - 3 > graph.MAX_VERTICES:  # before the k + 1 terminals are allocated
+        raise TooLarge(f"a {k}-input chain has {5 * k - 3} vertices, past the cap")
     g = graph.DiGraph(k + 1)
     anchor = 0
     inputs = tuple(range(1, k + 1))

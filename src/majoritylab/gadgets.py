@@ -83,10 +83,9 @@ class GadgetHandle:
     def internal_order(self) -> tuple[VertexId, ...]:
         """The internal vertices in topological order, sources first.
 
-        A collector points at its stage's negators and a left negator at
-        the previous collector, so (collector, neg_left) runs from the last
-        stage back to the first; the right and anchor negators, which point
-        only outside the internals, follow stage by stage.
+        (collector, neg_left) runs from the last stage back, as each left
+        negator points at the previous collector; the right and anchor
+        negators, with no internal out-edge, follow stage by stage.
         """
         back = (v for s in reversed(self.stages) for v in (s.collector, s.neg_left))
         rest = (v for s in self.stages for v in (s.neg_right, s.neg_anchor))
@@ -129,16 +128,14 @@ def build_or_chain(
     over k inputs has k-1 stages, 4(k-1) internal vertices and 6(k-1)
     edges.  Each stage creates its fresh vertices in the order
     (neg_left, neg_right, neg_anchor, collector); the last collector is
-    the output.  All arguments, and the grown graph's size against
-    ``MAX_VERTICES``, are checked before the graph changes.
+    the output.  All arguments, and the size cap, are checked first.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
         raise ChainTooShort(f"chained OR needs at least 2 inputs, got {len(inputs)}")
     size = g.vertex_count + 4 * (len(inputs) - 1)
     if size > MAX_VERTICES:
-        raise TooLarge(f"the chain would grow the graph to {size} vertices, "
-                       f"past the cap {MAX_VERTICES}")
+        raise TooLarge(f"the graph would reach {size} vertices, past the cap {MAX_VERTICES}")
     if len(set(inputs)) != len(inputs):
         raise ValueError("chain inputs must be distinct")
     if anchor in inputs:

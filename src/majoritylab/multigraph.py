@@ -224,9 +224,8 @@ def _instances(
     smaller one); the single-vertex edgeless instance, yielded first, is
     the exception.  The first weight vector of each class is kept.  A
     class is keyed by its smallest relabelled vector under all vertex
-    permutations, read through tables built once per vertex count, which
-    stays cheap for the v <= 6 scope.  Both tests read the weight vector,
-    so a multigraph is built only for a kept one.
+    permutations, read through tables built once per vertex count.  Both
+    tests read the weight vector; only kept vectors become multigraphs.
     """
     yield WeightedMultigraph(1)
     for v in range(2, max_vertices + 1):
@@ -253,9 +252,7 @@ def _instances(
 
 
 def search_non_k_colorable(
-    max_vertices: int,
-    max_total_weight: int,
-    k: int,
+    max_vertices: int, max_total_weight: int, k: int
 ) -> list[WeightedMultigraph]:
     """Exhaustively look for instances with no majority k-coloring.
 

@@ -114,7 +114,7 @@ class TestConstruction:
     def test_size_cap_leaves_graph_unchanged(self, monkeypatch):
         monkeypatch.setattr(gadgets, "MAX_VERTICES", 8)
         g = DiGraph(4)
-        with pytest.raises(TooLarge, match="grow the graph to 12 vertices"):
+        with pytest.raises(TooLarge, match="would reach 12 vertices"):
             build_or_chain(g, 0, (1, 2, 3))
         assert g == DiGraph(4)
         build_or_chain(g, 0, (1, 2))
