@@ -60,4 +60,4 @@ class SweepFailure(MajorityLabError):
 
 
 class BudgetExceeded(MajorityLabError):
-    """An enumeration estimate passed the configured budget."""
+    """An enumeration estimate passed the search budget."""

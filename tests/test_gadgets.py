@@ -158,20 +158,6 @@ class TestHandleShape:
         g, handle = fresh_chain(k)
         assert list(handle.internal_order) == gadget_internal_sort(g, handle)
 
-    @pytest.mark.parametrize("k", [2, 3, 7])
-    def test_internal_order_positions(self, k):
-        # Stage s of S: collector 2(S-s), neg_left 2(S-s)+1,
-        # neg_right 2S+2(s-1), neg_anchor 2S+2s-1.
-        _, handle = fresh_chain(k)
-        order = handle.internal_order
-        big_s = len(handle.stages)
-        for s, stage in enumerate(handle.stages, 1):
-            assert order[2 * (big_s - s)] == stage.collector
-            assert order[2 * (big_s - s) + 1] == stage.neg_left
-            assert order[2 * big_s + 2 * (s - 1)] == stage.neg_right
-            assert order[2 * big_s + 2 * s - 1] == stage.neg_anchor
-        assert sorted(order) == sorted(handle.internal)
-
     def test_prefix_of_stages_is_a_shorter_chain(self):
         _, handle = fresh_chain(4)
         short = dataclasses.replace(handle, stages=handle.stages[:2])
