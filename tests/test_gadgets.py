@@ -17,6 +17,7 @@ from majoritylab.gadgets import (
     verify_or_semantics,
 )
 from majoritylab.graph import DiGraph
+from majoritylab.majority import TruthView, brute_force_majority_colorings
 
 
 def fresh_chain(k):
@@ -211,6 +212,30 @@ class TestSemanticsOracle:
         assert report.is_or
         assert len(report.outcomes) == 32
         assert all(o.extension_unique for o in report.outcomes)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_outcomes_match_brute_force(self, k):
+        # Independent of both the gadget loop and the search engine: all
+        # majority 2-colorings of the isolated chain (7, 12, 17 vertices)
+        # with the anchor colored 0, grouped by their input truths.  The
+        # anchor and the inputs are sinks here, so they constrain nothing.
+        g, handle = fresh_chain(k)
+        assert g.vertex_count == 5 * k - 3
+        outputs = {pre: [] for pre in itertools.product((False, True), repeat=k)}
+        for c in brute_force_majority_colorings(g, 2):
+            if c.colors[handle.anchor] == 0:
+                view = TruthView(handle.anchor, c)
+                outputs[view.truths(handle.inputs)].append(view.truth(handle.output))
+        expected = [
+            (pre, bool(truths), len(truths) == 1,
+             truths[0] if len(set(truths)) == 1 else None)
+            for pre, truths in outputs.items()
+        ]
+        report = verify_or_semantics(g, handle)
+        assert [
+            (o.inputs, o.extension_exists, o.extension_unique, o.output_truth)
+            for o in report.outcomes
+        ] == expected
 
     def test_exhaustion_bound(self):
         # 7 stages, 28 internal vertices: refused before enumerating 2^36

@@ -213,16 +213,17 @@ class TestEnumerate:
         ]
         assert [c.colors for c in by_mask] == [c.colors for c in generic]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @given(st.one_of(dags(max_vertices=6), digraphs(max_vertices=6)))
     @settings(max_examples=30)
-    def test_three_color_brute_force_matches_verifier(self, g):
-        early_exit = brute_force_majority_colorings(g, 3)
+    def test_brute_force_matches_verifier(self, k, g):
+        oracle = brute_force_majority_colorings(g, k)
         verified = [
             combo
-            for combo in itertools.product(range(3), repeat=g.vertex_count)
-            if verify(g, Coloring(3, combo)).satisfied
+            for combo in itertools.product(range(k), repeat=g.vertex_count)
+            if verify(g, Coloring(k, combo)).satisfied
         ]
-        assert [c.colors for c in early_exit] == verified
+        assert [c.colors for c in oracle] == verified
 
     def test_truncation_extension_matches_full_brute_force(self):
         g, spec = build_truncation(3)
