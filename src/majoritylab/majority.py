@@ -9,7 +9,8 @@ verifier (the ground truth every other routine is checked against), the
 folklore greedy 2-coloring of finite DAGs in reverse topological order,
 an iterative backtracking enumerator of all majority k-colorings that
 colors sinks first and prunes each vertex as soon as it is checkable, a
-deliberately naive brute-force oracle, and the feasible-prefix experiment
+brute-force oracle that checks all k^V colorings at once on truth tables
+and shares no code with that search, and the feasible-prefix experiment
 over the counterexample truncations, which runs on the same enumerator.
 The enumerator is the package's one search engine, with the single
 signature ``enumerate_majority_colorings(g, palette_size, fixed=None)``;
@@ -220,52 +221,59 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
     """Oracle: every total assignment, filtered by the majority condition.
 
     Exponential in the vertex count; meant for graphs small enough to
-    exhaust.  The 2-color path counts monochromatic out-edges with
-    bitmask popcounts but still visits all 2^V assignments, in
-    lexicographic order, so its solutions need no sort.  Any other
-    palette visits all k^V assignments in id order, with no pruning of
-    partial assignments, and drops each at its first violated vertex; only
-    the solutions become colorings.
+    exhaust.  It shares nothing with the search engine: no vertex order,
+    no pruning, no :func:`monochromatic`.  Assignment ``a`` in
+    ``range(k**V)`` gives vertex ``v`` its base-k digit ``V-1-v``, so
+    counting up is lexicographic order and the solutions need no sort.
+    All assignments are checked at once on truth tables: for each vertex
+    ``v`` and color ``c`` a k^V-bit int marks the assignments that color
+    ``v`` with ``c``, and each vertex keeps the assignments where at most
+    half its out-neighbors match it.  The tables take k·V·k^V bits, about
+    10 MB for 2 colors of G_4's 21 vertices.
     """
-    if palette_size == 2:
-        return _brute_force_two_colors(g)
-    checks = [(v, out) for v in range(g.vertex_count) if (out := g.out(v))]
-    results = []
-    for combo in itertools.product(range(palette_size), repeat=g.vertex_count):
-        for v, out in checks:
-            if 2 * monochromatic(combo, v, out) > len(out):
-                break
-        else:
-            results.append(Coloring(palette_size, combo))
-    return results
-
-
-def _brute_force_two_colors(g: DiGraph) -> list[Coloring]:
-    # Vertex v is bit n-1-v, so counting up visits the colorings in
-    # lexicographic order and the solutions need no sort.
-    n = g.vertex_count
-    top = n - 1
-    masks = []
+    if palette_size < 1:
+        raise ValueError("palette_size must be positive")
+    k, n = palette_size, g.vertex_count
+    size = k**n
+    full = (1 << size) - 1
+    # has[v][c]: digit n-1-v of the assignment is c, in blocks of b = k^(n-1-v)
+    # bits that repeat every k*b bits; doubling repeats the block cheaply.
+    has = []
+    for v in range(n):
+        b = k ** (n - 1 - v)
+        t, width = (1 << b) - 1, k * b
+        while width < size:
+            t |= t << width
+            width *= 2
+        has.append([(t << (c * b)) & full for c in range(k)])
+    ok = full
     for v in range(n):
         out = g.out(v)
-        if out:
-            m = 0
-            for u in out:
-                m |= 1 << (top - u)
-            masks.append((top - v, m, len(out)))
-    found: list[int] = []
-    for assignment in range(1 << n):
-        for bit, m, d in masks:
-            ones = (assignment & m).bit_count()
-            mono = ones if (assignment >> bit) & 1 else d - ones
-            if 2 * mono > d:
-                break
-        else:
-            found.append(assignment)
-    # bin() of a with a leading 1 bit at position n gives exactly n digits,
-    # also for n = 0, where it gives none.
-    lead = 1 << n
-    return [Coloring(2, tuple(map(int, bin(a | lead)[3:]))) for a in found]
+        if not out:
+            continue
+        half = len(out) // 2
+        # at_most[j]: at most j of the out-neighbors so far share v's color.
+        at_most = [full] * (half + 1)
+        for u in out:
+            same = 0
+            for hv, hu in zip(has[v], has[u]):
+                same |= hv & hu
+            for j in range(half, 0, -1):
+                at_most[j] = at_most[j] & ~same | at_most[j - 1] & same
+            at_most[0] &= ~same
+        ok &= at_most[half]
+    # bits[a] is "1" iff assignment a survives; a splits into a head and a
+    # tail of base-k digits, decoded from two small product tables.
+    bits = bin(ok)[:1:-1]
+    heads = list(itertools.product(range(k), repeat=n // 2))
+    tails = list(itertools.product(range(k), repeat=n - n // 2))
+    found = []
+    a = bits.find("1")
+    while a >= 0:
+        h, t = divmod(a, len(tails))
+        found.append(Coloring(k, heads[h] + tails[t]))
+        a = bits.find("1", a + 1)
+    return found
 
 
 def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:
