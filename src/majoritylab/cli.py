@@ -202,6 +202,8 @@ def _cmd_majority_prefix(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget_verify(args: argparse.Namespace) -> int:
+    # The chain's 4(k - 1) internals are refused before the chain is built.
+    gadgets.check_exhaustion_bound(4 * (args.inputs - 1))
     g, handle, _ = _isolated_chain(args.inputs)
     report = gadgets.verify_or_semantics(g, handle)
     print("inputs,extension_exists,extension_unique,output_truth")
@@ -437,6 +439,12 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (MajorityLabError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Past the handler the traceback is dropped, and with its frames the
+    # graph that filled memory, so the message below has room to print.
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

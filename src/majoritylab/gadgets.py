@@ -169,6 +169,15 @@ def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:
     return all(t in members for w in handle.internal for t in g.out(w))
 
 
+def check_exhaustion_bound(internal_count: int) -> None:
+    """Raise ``TooLarge`` if ``internal_count`` internals are too many to exhaust."""
+    if internal_count > DEFAULT_EXHAUSTION_BOUND:
+        raise TooLarge(
+            f"{internal_count} internal vertices exceed the exhaustion bound "
+            f"{DEFAULT_EXHAUSTION_BOUND}"
+        )
+
+
 def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
     """Exhaustively check the gadget's forcing behaviour.
 
@@ -183,11 +192,7 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
     if not is_valid_gadget(g, handle):
         raise ValueError("gadget is not valid: internal out-edge leaves the gadget")
     internal = sorted(handle.internal)
-    if len(internal) > DEFAULT_EXHAUSTION_BOUND:
-        raise TooLarge(
-            f"{len(internal)} internal vertices exceed the exhaustion bound "
-            f"{DEFAULT_EXHAUSTION_BOUND}"
-        )
+    check_exhaustion_bound(len(internal))
     members = sorted(handle.members)
     local = {v: i for i, v in enumerate(members)}
     targets = [(local[w], [local[t] for t in g.out(w)]) for w in internal]

@@ -42,6 +42,24 @@ def path_graph_file(tmp_path):
 ENUMERATE = "majority enumerate FILE --colors 2"
 
 
+def run_limited(argv, limit_mb):
+    """Run the CLI in a child process under an address-space limit.
+
+    Out of process, so an uncaught exception shows as exit 1 (the
+    "property violated" code) plus a traceback, and an oversized
+    allocation fails fast in the child instead of exhausting the machine.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = limit_mb * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "majoritylab", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert run(["nonsense"])[0] == 2
@@ -113,27 +131,33 @@ class TestUsage:
         ],
     )
     def test_malformed_graph_file_is_a_usage_error(self, tmp_path, command, text):
-        # Out of process, so an uncaught exception would show as exit 1
-        # (the "property violated" code) plus a traceback.  The address-space
-        # limit makes an oversized allocation fail fast in the child instead
-        # of exhausting the machine.  The edgeless graphs parse, but their
-        # 2^30 and 2^1000 colorings are refused by the enumerator.  The
-        # generated graphs need no file and are refused before they are built.
+        # The edgeless graphs parse, but their 2^30 and 2^1000 colorings are
+        # refused by the enumerator.  The generated graphs need no file and
+        # are refused before they are built.
         f = tmp_path / "bad.txt"
         f.write_text(text, encoding="utf-8")
-        src = Path(__file__).resolve().parent.parent / "src"
-        limit = 400 * 2**20
         argv = [str(f) if arg == "FILE" else arg for arg in command.split()]
-        proc = subprocess.run(
-            [sys.executable, "-m", "majoritylab", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = run_limited(argv, 400)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_long_chain_refused_before_it_is_built(self):
+        # Built, the 200 000-input chain needs about 365 MB; refused by the
+        # exhaustion bound first, it fits in 100 MB.
+        proc = run_limited(["gadget", "verify", "--inputs", "200000"], 100)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: 799996 internal vertices exceed the exhaustion bound 24\n"
+        )
+
+    def test_out_of_memory_is_a_usage_error(self):
+        # G_115 is inside MAX_VERTICES but far past 40 MB, so building it
+        # runs out of memory within a second.
+        proc = run_limited(["counterexample", "verify", "--n", "115"], 40)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory\n"
 
 
 class TestMajorityCommands:

@@ -178,6 +178,12 @@ class TestEnumerate:
             (1,),
         ]
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_brute_force_refuses_an_empty_palette(self, n):
+        # As the search does, also where no vertex would need a color.
+        with pytest.raises(ValueError, match="palette_size must be positive"):
+            brute_force_majority_colorings(DiGraph(n), 0)
+
     @pytest.mark.parametrize("forwards", [True, False])
     def test_long_path_has_two_alternating_colorings(self, forwards):
         # Deeper than the default recursion limit: the search must not recurse.
