@@ -249,8 +249,6 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
     ok = full
     for v in range(n):
         out = g.out(v)
-        if not out:
-            continue
         half = len(out) // 2
         # at_most[j]: at most j of the out-neighbors so far share v's color.
         at_most = [full] * (half + 1)
