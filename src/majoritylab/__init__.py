@@ -16,10 +16,9 @@ _EXPORTS = {
         "truncation_names", "verify_sigma",
     ),
     "errors": (
-        "BudgetExceeded", "ChainTooShort", "CycleFound", "DuplicateEdgeError",
-        "MajorityLabError", "NotADag", "NotUnique", "OutOfRangeError",
-        "PaletteMismatch", "ParseError", "SelfLoopError", "SweepFailure",
-        "TooLarge",
+        "CycleFound", "DuplicateEdgeError", "MajorityLabError",
+        "OutOfRangeError", "PaletteMismatch", "ParseError", "SelfLoopError",
+        "SweepFailure", "TooLarge",
     ),
     "gadgets": (
         "GadgetHandle", "GadgetStage", "PrecoloringOutcome", "SemanticsReport",

@@ -143,6 +143,8 @@ def _parse_id_list(text: str) -> list[int]:
 
 def _isolated_chain(k: int) -> tuple[graph.DiGraph, gadgets.GadgetHandle, dict[int, str]]:
     """A fresh graph holding only an anchor, k inputs, and one chain gadget."""
+    if k < 2:  # before DiGraph(k + 1) can reject a negative count
+        raise ValueError(f"chained OR needs at least 2 inputs, got {k}")
     if 5 * k - 3 > graph.MAX_VERTICES:  # before the k + 1 terminals are allocated
         raise TooLarge(f"a {k}-input chain has {5 * k - 3} vertices, past the cap")
     g = graph.DiGraph(k + 1)

@@ -35,20 +35,8 @@ class PaletteMismatch(MajorityLabError):
     """A color value is outside the coloring's palette."""
 
 
-class NotADag(MajorityLabError):
-    """An operation requiring an acyclic graph was given a cyclic one."""
-
-
-class ChainTooShort(MajorityLabError):
-    """A chained gadget needs at least two inputs."""
-
-
 class TooLarge(MajorityLabError):
     """A request was refused: its search space or built graph passes a bound."""
-
-
-class NotUnique(MajorityLabError):
-    """The closed-form extension is not established for this gadget shape."""
 
 
 class SweepFailure(MajorityLabError):
@@ -57,7 +45,3 @@ class SweepFailure(MajorityLabError):
     def __init__(self, description):
         self.description = description
         super().__init__(f"sweep found a feasible description: {description}")
-
-
-class BudgetExceeded(MajorityLabError):
-    """An enumeration estimate passed the search budget."""

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import ChainTooShort, NotUnique, TooLarge
+from .errors import TooLarge
 from .graph import MAX_VERTICES, DiGraph, VertexId
 from .majority import monochromatic
 
@@ -132,7 +132,7 @@ def build_or_chain(
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
-        raise ChainTooShort(f"chained OR needs at least 2 inputs, got {len(inputs)}")
+        raise ValueError(f"chained OR needs at least 2 inputs, got {len(inputs)}")
     size = g.vertex_count + 4 * (len(inputs) - 1)
     if size > MAX_VERTICES:
         raise TooLarge(f"the graph would reach {size} vertices, past the cap {MAX_VERTICES}")
@@ -234,30 +234,6 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
     return SemanticsReport(tuple(outcomes), is_or)
 
 
-# The closed-form extension below is only trusted after the exhaustive
-# oracle has confirmed, once per process, that the binary stage topology
-# really forces a unique extension for all four precolorings.  Chains
-# inherit this stage by stage: every stage is a binary gadget on the
-# previous output and the next input.
-_STAGE_CERTIFIED: bool | None = None
-
-
-def _certify_binary_stage() -> None:
-    global _STAGE_CERTIFIED
-    if _STAGE_CERTIFIED is None:
-        scratch = DiGraph(3)
-        handle = build_or2(scratch, 0, 1, 2)
-        report = verify_or_semantics(scratch, handle)
-        _STAGE_CERTIFIED = report.is_or and all(
-            o.extension_unique for o in report.outcomes
-        )
-    if not _STAGE_CERTIFIED:
-        raise NotUnique(
-            "the binary stage failed oracle certification; "
-            "no closed-form extension is available"
-        )
-
-
 def forced_extension(
     handle: GadgetHandle, input_truths: Sequence[bool]
 ) -> dict[VertexId, bool]:
@@ -265,14 +241,13 @@ def forced_extension(
 
     Per stage: both negators take the negation of their target's truth,
     the anchor negator is false, and the collector takes the OR of the
-    stage inputs.  Raises NotUnique when the binary stage fails its
-    oracle certification.
+    stage inputs.  The tests check against :func:`verify_or_semantics`
+    that no other extension exists.
     """
     if len(input_truths) != len(handle.inputs):
         raise ValueError(
             f"expected {len(handle.inputs)} input truths, got {len(input_truths)}"
         )
-    _certify_binary_stage()
     truths: dict[int, bool] = {}
     left = bool(input_truths[0])
     for stage, right in zip(handle.stages, map(bool, input_truths[1:])):

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CycleFound, NotADag, TooLarge
+from .errors import CycleFound, TooLarge
 from .graph import Coloring, DiGraph, VertexId, topological_sort
 
 #: Most vertex colors the enumerator stores over all its solutions before
@@ -118,12 +118,10 @@ def greedy_dag_2color(g: DiGraph) -> Coloring:
     Vertices are processed in reverse topological order, so all
     out-neighbors are already colored; each vertex takes color 0 unless
     that leaves it violated, and color 1 otherwise (the smaller
-    monochromatic count, ties going to color 0).
+    monochromatic count, ties going to color 0).  A cyclic graph raises
+    ``CycleFound``, which names the cycle.
     """
-    try:
-        order = topological_sort(g)
-    except CycleFound as e:
-        raise NotADag(f"greedy 2-coloring needs a DAG: {e}") from e
+    order = topological_sort(g)
     colors = [0] * g.vertex_count
     for v in reversed(order):
         out = g.out(v)

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, OutOfRangeError, SelfLoopError
+from .errors import OutOfRangeError, SelfLoopError, TooLarge
 from .graph import Coloring, VertexId
 from .majority import DeficiencyReport
 
-#: Largest estimated cost (weight vectors times k^V) the search accepts.
+#: Largest estimated cost (weight vectors times (V! + k^V)) the search accepts.
 SEARCH_BUDGET = 10_000_000
 
 
@@ -205,12 +205,15 @@ def _weight_vectors(num_pairs: int, max_total: int) -> Iterator[tuple[int, ...]]
 
 
 def _search_estimate(max_vertices: int, max_total_weight: int, k: int) -> int:
-    # Cost model: weight vectors to enumerate times colorings to test each.
+    # Cost model: per weight vector, V! relabellings for its canonical key
+    # and k^V colorings to test.  The sum stops once it passes the budget.
     total = 0
     for v in range(1, max_vertices + 1):
         pairs = v * (v - 1) // 2
         vectors = math.comb(pairs + max_total_weight, pairs)
-        total += vectors * k**v
+        total += vectors * (math.factorial(v) + k**v)
+        if total > SEARCH_BUDGET:
+            break
     return total
 
 
@@ -258,8 +261,8 @@ def search_non_k_colorable(
 
     Enumerates one representative per isomorphism class of weighted
     multigraphs within the bounds and brute-forces all k-colorings of
-    each.  The estimated cost (weight vectors times k^V) must stay under
-    ``SEARCH_BUDGET``.
+    each.  The estimated cost, weight vectors times (V! + k^V) summed
+    over the vertex counts, must stay under ``SEARCH_BUDGET``.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -267,7 +270,7 @@ def search_non_k_colorable(
         raise ValueError("max_total_weight must be non-negative")
     estimate = _search_estimate(max_vertices, max_total_weight, k)
     if estimate > SEARCH_BUDGET:
-        raise BudgetExceeded(
+        raise TooLarge(
             f"estimated {estimate} enumeration steps exceed the budget {SEARCH_BUDGET}"
         )
     return [

@@ -151,6 +151,13 @@ class TestUsage:
             "error: 799996 internal vertices exceed the exhaustion bound 24\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "dot"])
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1])
+    def test_short_chain_names_its_input_count(self, command, k):
+        code, out, err = run(["gadget", command, "--inputs", str(k)])
+        assert (code, out) == (2, "")
+        assert err == f"error: chained OR needs at least 2 inputs, got {k}\n"
+
     def test_out_of_memory_is_a_usage_error(self):
         # G_115 is inside MAX_VERTICES but far past 40 MB, so building it
         # runs out of memory within a second.

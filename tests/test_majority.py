@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import dags, digraphs, extension_rule_colorings, random_dag
 from majoritylab import majority
 from majoritylab.counterexample import build_truncation
-from majoritylab.errors import NotADag, PaletteMismatch, TooLarge
+from majoritylab.errors import CycleFound, PaletteMismatch, TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import (
     TruthView,
@@ -108,7 +108,7 @@ class TestGreedy:
         g = DiGraph(2)
         g.add_edge(0, 1)
         g.add_edge(1, 0)
-        with pytest.raises(NotADag):
+        with pytest.raises(CycleFound, match=r"among vertices \[0, 1\]"):
             greedy_dag_2color(g)
 
     @given(dags(max_vertices=12))

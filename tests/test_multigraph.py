@@ -13,7 +13,7 @@ from helpers import (
     seeded_multigraph,
 )
 from majoritylab import multigraph
-from majoritylab.errors import BudgetExceeded, SelfLoopError
+from majoritylab.errors import SelfLoopError, TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
 from majoritylab.multigraph import (
@@ -165,8 +165,20 @@ class TestSearch:
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setattr(multigraph, "SEARCH_BUDGET", 10)
-        with pytest.raises(BudgetExceeded, match="exceed the budget 10"):
+        with pytest.raises(TooLarge, match="exceed the budget 10"):
             search_non_k_colorable(4, 8, 3)
+
+    @pytest.mark.parametrize("bounds", [(10, 1, 1), (80_000, 5, 2)])
+    def test_budget_refuses_before_the_search(self, monkeypatch, bounds):
+        # Ten vertices cost 10! relabellings per weight vector for the
+        # canonical keys: minutes and gigabytes, though 2^10 colorings are
+        # cheap.  The estimate for 80 000 vertices stops summing early.
+        monkeypatch.setattr(multigraph, "_instances", None)
+        with pytest.raises(TooLarge, match="exceed the budget"):
+            search_non_k_colorable(*bounds)
+
+    def test_budget_accepts_eight_vertices(self):
+        assert multigraph._search_estimate(8, 1, 1) <= multigraph.SEARCH_BUDGET
 
     def test_isomorphic_duplicates_collapse(self):
         # Unit path on 3 vertices: 3 labelings, one representative, and it

@@ -15,10 +15,10 @@ import pytest
 import majoritylab
 
 PUBLIC = [
-    "BudgetExceeded", "ChainTooShort", "Coloring", "CycleFound",
-    "DeficiencyReport", "DiGraph", "DuplicateEdgeError", "GadgetHandle",
-    "GadgetStage", "LocalSearchResult", "MAX_VERTICES", "MajorityLabError",
-    "NotADag", "NotUnique", "OutOfRangeError", "PaletteMismatch", "ParseError",
+    "Coloring", "CycleFound", "DeficiencyReport", "DiGraph",
+    "DuplicateEdgeError", "GadgetHandle", "GadgetStage", "LocalSearchResult",
+    "MAX_VERTICES", "MajorityLabError", "OutOfRangeError", "PaletteMismatch",
+    "ParseError",
     "PrecoloringOutcome", "SelfLoopError", "SemanticsReport",
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
     "SweepEntry", "SweepFailure", "SweepReport", "TooLarge", "TripletLabel",
@@ -47,7 +47,7 @@ NO_MODULE_ATTR = {
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 71
+        assert len(PUBLIC) == 67
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 
@@ -71,6 +71,16 @@ class TestPublicSurface:
 
     def test_submodule_reachable_as_attribute(self):
         assert callable(majoritylab.gadgets.build_or2)
+
+    def test_error_exports_are_the_error_module(self):
+        errors = importlib.import_module("majoritylab.errors")
+        base = errors.MajorityLabError
+        defined = {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, base)
+            and value is not base and value.__module__ == errors.__name__
+        }
+        assert defined == set(majoritylab._EXPORTS["errors"]) - {"MajorityLabError"}
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
