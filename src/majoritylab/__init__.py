@@ -1,13 +1,17 @@
 """Majority colorings of directed graphs, OR-forcing gadgets, and the
 truncation / symbolic machinery around a countable DAG that needs 3 colors.
 
-Every public name is loaded on first use (PEP 562): ``import majoritylab``
-imports no submodule, and ``majoritylab.verify`` or
-``from majoritylab import verify`` imports only ``majoritylab.majority``
-and what it needs.  The submodules themselves are exported too.
+``import majoritylab`` runs no submodule's code: it binds every submodule
+lazily (``importlib.util.LazyLoader``), entered in ``sys.modules`` and set
+on the package at once but run on its first attribute access.  So
+``majoritylab.verify`` or ``from majoritylab import verify`` runs only
+``majoritylab.majority`` and what it needs.  The submodules themselves
+are exported too, and every other public name is cached on first use
+(PEP 562).
 """
 
-from importlib import import_module as _import_module
+import importlib.util as _util
+import sys as _sys
 
 _EXPORTS = {
     "counterexample": (
@@ -45,22 +49,25 @@ _EXPORTS = {
     ),
 }
 
-# name -> the submodule that defines it; a submodule maps to itself.
+# name -> the submodule that defines it.
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SOURCE.update((module, module) for module in _EXPORTS)
 
-__all__ = sorted(_SOURCE)
+__all__ = sorted([*_SOURCE, *_EXPORTS])
+
+for _name in _EXPORTS:
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _module = _util.module_from_spec(_spec)
+    _sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
 
 
 def __getattr__(name: str):
     module = _SOURCE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # Importing a submodule binds it in this package's globals by itself.
-    value = _import_module(f"{__name__}.{module}")
-    if name != module:
-        value = getattr(value, name)
-        globals()[name] = value
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

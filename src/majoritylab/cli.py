@@ -7,47 +7,21 @@ for fixed inputs and flags.
 
 Exit codes: 0 = pass, 1 = property violated, 2 = usage or IO error.
 
-The library modules are bound lazily (``_lazy``), so a process runs the
-code of only the modules its own subcommand uses: ``build_parser`` needs
-nothing beyond argparse.
+The package binds its library modules lazily (see ``majoritylab``), and
+``from . import`` takes the bound module without running it, so a
+process runs the code of only the modules its own subcommand uses:
+``build_parser`` needs nothing beyond argparse.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from pathlib import Path
-from types import ModuleType
 
+from . import counterexample as cx
+from . import gadgets, graph, infinite, majority, multigraph
 from .errors import MajorityLabError, ParseError, SweepFailure, TooLarge
-
-
-def _lazy(name: str) -> ModuleType:
-    """The submodule ``name``, whose code runs on its first attribute access.
-
-    The module is entered in ``sys.modules`` and bound in the package at
-    once, as an import statement would do, so code that looks modules up
-    there finds it; only running its body waits until a handler uses it.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-cx = _lazy("counterexample")
-gadgets = _lazy("gadgets")
-graph = _lazy("graph")
-infinite = _lazy("infinite")
-majority = _lazy("majority")
-multigraph = _lazy("multigraph")
 
 PROG = "majoritylab"
 

@@ -7,8 +7,9 @@ For such a description the truth profile over any path vertex's
 out-neighborhood (its successor plus the outputs of every gadget hooked
 up to it) has a closed form with at most finitely many exceptions, so
 the majority condition can be evaluated with counts that are integers
-or ``math.inf`` (countably many).  Positions beyond the support behave
-identically, which makes a finite sweep over positions exhaustive.
+or ``math.inf`` (countably many).  A position's verdict can change only
+at a support position or just past one, which makes a check of those
+few positions exhaustive.
 """
 
 from __future__ import annotations
@@ -89,13 +90,15 @@ def out_profile(
 def check_symbolic(d: SupportColoring) -> int | None:
     """Smallest path position violating the majority condition, else None.
 
-    Positions 1..stationary_from are checked explicitly; every later
-    position has the same truth and the same out-profile as the last one,
-    so the check is exhaustive for the whole infinite path.  Gadget
-    internals are exempt: their forced extension always satisfies them,
-    as established by the gadget oracle.
+    By ``out_profile`` a position's verdict depends only on its truth and
+    on whether some later position is true, and both change only at 1, at
+    a support position or just past one.  Each such change point is
+    checked, in order, and stands for every position up to the next one,
+    so the first witness found is the smallest on the whole infinite path.
+    Gadget internals are exempt: their forced extension always satisfies
+    them, as established by the gadget oracle.
     """
-    for position in range(1, d.stationary_from + 1):
+    for position in sorted({1, *d.support, *(s + 1 for s in d.support)}):
         truth = d.truth(position)
         true_count, false_count = out_profile(position, d)
         mono = true_count if truth else false_count

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import counterexample
 from .errors import CycleFound, TooLarge
 from .graph import Coloring, DiGraph, VertexId, topological_sort
 
@@ -285,9 +286,7 @@ def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:
         raise ValueError("truncation depth must be at least 2")
     if not 1 <= m <= n:
         raise ValueError("prefix length must satisfy 1 <= m <= n")
-    from .counterexample import build_truncation
-
-    g, spec = build_truncation(n)
+    g, spec = counterexample.build_truncation(n)
     solutions = enumerate_majority_colorings(g, 2, fixed={spec.anchor: 0})
     return {
         TruthView(spec.anchor, c).truths(spec.path[:m]) for c in solutions

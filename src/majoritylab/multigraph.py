@@ -35,27 +35,25 @@ SEARCH_BUDGET = 10_000_000
 class WeightedMultigraph:
     """Undirected multigraph with positive integer edge weights."""
 
-    __slots__ = ("_vertex_count", "_adj")
+    __slots__ = ("_adj",)
 
     def __init__(self, vertex_count: int = 0) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        self._vertex_count = vertex_count
         self._adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
 
     @property
     def vertex_count(self) -> int:
-        return self._vertex_count
+        return len(self._adj)
 
     def add_vertex(self) -> VertexId:
         self._adj.append({})
-        self._vertex_count += 1
-        return self._vertex_count - 1
+        return len(self._adj) - 1
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._vertex_count:
+        if not 0 <= v < len(self._adj):
             raise OutOfRangeError(
-                f"vertex {v} out of range (vertex_count {self._vertex_count})"
+                f"vertex {v} out of range (vertex_count {len(self._adj)})"
             )
 
     def add_edge(self, u: VertexId, v: VertexId, weight: int = 1) -> None:
@@ -81,8 +79,8 @@ class WeightedMultigraph:
         """All edges as (u, v, w) with u < v, sorted."""
         return sorted(
             (u, v, w)
-            for u in range(self._vertex_count)
-            for v, w in self._adj[u].items()
+            for u, targets in enumerate(self._adj)
+            for v, w in targets.items()
             if u < v
         )
 
@@ -94,13 +92,13 @@ class WeightedMultigraph:
         if not isinstance(other, WeightedMultigraph):
             return NotImplemented
         return (
-            self._vertex_count == other._vertex_count
+            len(self._adj) == len(other._adj)
             and self.edges() == other.edges()
         )
 
     def __repr__(self) -> str:
         return (
-            f"WeightedMultigraph(vertices={self._vertex_count}, "
+            f"WeightedMultigraph(vertices={len(self._adj)}, "
             f"edges={len(self.edges())}, total_weight={self.total_weight})"
         )
 

@@ -188,6 +188,23 @@ class TestMajorityCommands:
         coloring.write_text("0 0\n", encoding="utf-8")
         assert run(["majority", "verify", str(path_graph_file), str(coloring)])[0] == 2
 
+    @pytest.mark.parametrize(
+        "flag, code, message",
+        [
+            ([], 0, ""),
+            (["--colors", "2"], 2, "vertex 2 has color 2, palette size is 2"),
+            (["--colors", "0"], 2, "palette_size must be positive"),
+        ],
+        ids=["inferred", "two", "zero"],
+    )
+    def test_verify_palette_flag(self, path_graph_file, tmp_path, flag, code, message):
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("0 0\n1 1\n2 2\n", encoding="utf-8")
+        argv = ["majority", "verify", str(path_graph_file), str(coloring), *flag]
+        got, _, err = run(argv)
+        assert got == code
+        assert err == (f"error: {message}\n" if message else "")
+
     def test_not_total_error_stays_short(self, tmp_path):
         graph = tmp_path / "wide.json"
         graph.write_text('{"vertex_count": 200000, "edges": []}', encoding="utf-8")
@@ -309,6 +326,13 @@ class TestCounterexampleCommands:
 
 
 class TestInfiniteCommands:
+    def test_check_far_singleton(self):
+        code, out, _ = run(
+            ["infinite", "check", "--mode", "true", "--support", "1000000000000"]
+        )
+        assert code == 1
+        assert out.splitlines()[1] == "violation,1000000000001"
+
     def test_check_all_false(self):
         code, out, _ = run(["infinite", "check", "--mode", "true", "--support", ""])
         assert code == 1

@@ -144,7 +144,37 @@ class TestOutProfile:
             assert f1 == f2 == false_count
 
 
+def scan_to_stationarity(d):
+    """Smallest witness by checking every position up to stationarity.
+
+    Every position past ``stationary_from`` has the last one's truth and
+    out-profile, so this linear scan is exhaustive on its own terms.
+    """
+    for position in range(1, d.stationary_from + 1):
+        true_count, false_count = out_profile(position, d)
+        if d.truth(position):
+            mono, diff = true_count, false_count
+        else:
+            mono, diff = false_count, true_count
+        if not diff >= mono:
+            return position
+    return None
+
+
 class TestCheckSymbolic:
+    def test_matches_linear_scan(self):
+        checked = 0
+        for mode in SupportMode:
+            for size in range(6):
+                for support in itertools.combinations(range(1, 14), size):
+                    d = SupportColoring(mode, frozenset(support))
+                    assert check_symbolic(d) == scan_to_stationarity(d), d
+                    checked += 1
+        assert checked == 4760
+
+    def test_far_singleton_is_checked_at_its_change_points(self):
+        assert check_symbolic(true_support(10**12)) == 10**12 + 1
+
     def test_all_false_violates_first_position(self):
         assert check_symbolic(true_support()) == 1
 

@@ -93,8 +93,8 @@ class TestPublicSurface:
 # interpreter can see what one command loads.
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# The CLI enters every library module in sys.modules at once but runs a
-# module's code only on first use; until then the entry is not a plain
+# The package enters every library module in sys.modules at once but runs
+# a module's code only on first use; until then the entry is not a plain
 # ModuleType, so the script lists the modules whose code has run.
 FOOTPRINT = """
 import contextlib, io, sys, types
@@ -118,8 +118,16 @@ def _fresh(script: str, *argv: str) -> list[str]:
 
 
 def test_bare_import_loads_no_submodule():
-    script = "import sys, majoritylab; print(*sorted(m for m in sys.modules if 'majoritylab' in m))"
-    assert _fresh(script) == ["majoritylab"]
+    # Every submodule is bound, and none has run its code.
+    script = """
+import sys, types, majoritylab
+for name, m in sorted(sys.modules.items()):
+    if name.startswith("majoritylab."):
+        print(name, type(m) is types.ModuleType)
+"""
+    assert _fresh(script) == [
+        word for name in sorted(SUBMODULES) for word in (f"majoritylab.{name}", "False")
+    ]
 
 
 @pytest.mark.parametrize(

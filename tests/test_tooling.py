@@ -50,10 +50,12 @@ def test_cli_stdout_matches_golden_digest(line):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
-def test_importing_the_cli_enters_every_wrapped_module():
-    # A traced run wraps only the modules already in sys.modules, and the
-    # cli-pipeline workload imports just graph, majority and cli before it.
-    script = "import sys, majoritylab.cli; print(*sys.modules)"
+@pytest.mark.parametrize("target", ["majoritylab", "majoritylab.cli"])
+def test_importing_the_cli_enters_every_wrapped_module(target):
+    # A traced run wraps only the modules already in sys.modules, and a
+    # workload imports just a few of them before it; the package binds
+    # every library module, so only cli needs its own import.
+    script = f"import sys, {target}; print(*sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -63,4 +65,6 @@ def test_importing_the_cli_enters_every_wrapped_module():
     )
     loaded = set(proc.stdout.split())
     for module_name, _, _, _ in _wrapped():
+        if module_name == "cli" and target == "majoritylab":
+            continue
         assert f"majoritylab.{module_name}" in loaded, module_name
