@@ -135,10 +135,24 @@ class DiGraph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """A total vertex -> color assignment over a palette 0..palette_size-1."""
+    """A total vertex -> color assignment over a palette 0..palette_size-1.
+
+    ``Coloring(k, colors)`` checks every color against the palette.  The
+    private :meth:`_trusted` skips that check; only the search engine and
+    the brute-force oracle in :mod:`majority` call it, on tuples they build
+    from ``range(palette_size)`` or from pins they have already checked.
+    """
 
     palette_size: int
     colors: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, palette_size: int, colors: tuple[int, ...]) -> "Coloring":
+        """A coloring of a tuple already known to lie in the palette."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "palette_size", palette_size)
+        object.__setattr__(self, "colors", colors)
+        return self
 
     def __post_init__(self) -> None:
         colors = self.colors

@@ -105,12 +105,16 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
             f"graph has {g.vertex_count}"
         )
     colors = coloring.colors
-    counts: list[tuple[int, int]] = []
+    checks: list[VertexCheck] = []
+    first = None
     for v in range(g.vertex_count):
         out = g.out(v)
         mono = monochromatic(colors, v, out)
-        counts.append((mono, len(out) - mono))
-    return DeficiencyReport.from_counts(counts)
+        diff = len(out) - mono
+        if mono > diff and first is None:
+            first = v
+        checks.append(VertexCheck(mono, diff, mono <= diff))
+    return DeficiencyReport(tuple(checks), first is None, first)
 
 
 def greedy_dag_2color(g: DiGraph) -> Coloring:
@@ -144,15 +148,18 @@ def enumerate_majority_colorings(
     """All majority colorings, in lexicographic order of their color tuples.
 
     ``fixed`` pins the color of some vertices; every other vertex ranges
-    over the palette.  The search backtracks with an explicit stack, so
-    its depth is not bounded by the interpreter's recursion limit.  It
-    assigns vertices in reverse topological order (id order when the graph
-    has a cycle) and prunes a branch as soon as some vertex with all
-    out-neighbors assigned fails the majority condition; the solutions are
-    then sorted.  Solutions that would hold more than ``MAX_STORED_COLORS``
-    vertex colors in all raise ``TooLarge`` rather than fill memory.  The
-    forced-extension rule of the OR gadgets is not consulted here: the
-    tests keep it as an independent cross-check.
+    over the palette.  The search backtracks with an explicit stack of
+    per-depth iterators over each vertex's colors, so its depth is not
+    bounded by the interpreter's recursion limit: it descends on the first
+    admissible color, records a solution at the last depth, and backs up
+    when a depth's iterator runs out.  It assigns vertices in reverse
+    topological order (id order when the graph has a cycle) and prunes a
+    branch as soon as some vertex with all out-neighbors assigned fails
+    the majority condition; the solutions are then sorted and wrapped
+    without a second palette check.  Solutions that would hold more than
+    ``MAX_STORED_COLORS`` vertex colors in all raise ``TooLarge`` rather
+    than fill memory.  The forced-extension rule of the OR gadgets is not
+    consulted here: the tests keep it as an independent cross-check.
     """
     if palette_size < 1:
         raise ValueError("palette_size must be positive")
@@ -163,6 +170,8 @@ def enumerate_majority_colorings(
             raise ValueError(f"fixed vertex {v} out of range")
         if not 0 <= c < palette_size:
             raise ValueError(f"fixed color {c} for vertex {v} outside palette")
+    if n == 0:
+        return [Coloring(palette_size, ())]
     # Sinks first: on a DAG every vertex is checkable the moment it is
     # colored, so a violation prunes at once.  A cycle leaves id order.
     try:
@@ -173,47 +182,48 @@ def enumerate_majority_colorings(
     for depth, v in enumerate(order):
         depth_of[v] = depth
     # Vertex v becomes checkable at the depth where the last of {v} + out(v)
-    # is assigned.
-    checks_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    # is assigned; it passes while at most half its targets match it.
+    checks_at: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
     for v in range(n):
         targets = tuple(g.out(v))
         if targets:
             last = max(depth_of[v], max(depth_of[u] for u in targets))
-            checks_at[last].append((v, targets))
+            checks_at[last].append((v, targets, len(targets) // 2))
     palette = tuple(range(palette_size))
     choices = [(fixed[v],) if v in fixed else palette for v in order]
     colors = [-1] * n
-    # next_choice[d] is the index of the next color to try at depth d; the
-    # depths 0..depth form the explicit search stack.
-    next_choice = [0] * n
+    # tries[d] iterates over the colors still untried at depth d; the depths
+    # 0..depth form the explicit search stack.
+    tries = [iter(())] * n
+    tries[0] = iter(choices[0])
     found: list[tuple[int, ...]] = []
-    max_solutions = MAX_STORED_COLORS // max(n, 1)
+    max_solutions = MAX_STORED_COLORS // n
+    deepest = n - 1
     depth = 0
     while depth >= 0:
-        if depth == n:
-            if len(found) == max_solutions:
-                raise TooLarge(
-                    f"more than {max_solutions} majority colorings of {n} vertices; "
-                    "enumeration refused"
-                )
-            found.append(tuple(colors))
-            depth -= 1
-            continue
-        options = choices[depth]
-        i = next_choice[depth]
-        if i == len(options):
-            next_choice[depth] = 0
-            depth -= 1
-            continue
-        next_choice[depth] = i + 1
-        colors[order[depth]] = options[i]
-        for w, targets in checks_at[depth]:
-            if 2 * monochromatic(colors, w, targets) > len(targets):
-                break
+        v = order[depth]
+        checks = checks_at[depth]
+        for c in tries[depth]:
+            colors[v] = c
+            for w, targets, half in checks:
+                if monochromatic(colors, w, targets) > half:
+                    break
+            else:
+                if depth < deepest:
+                    depth += 1
+                    tries[depth] = iter(choices[depth])
+                    break
+                if len(found) == max_solutions:
+                    raise TooLarge(
+                        f"more than {max_solutions} majority colorings of {n} "
+                        "vertices; enumeration refused"
+                    )
+                found.append(tuple(colors))
         else:
-            depth += 1
+            depth -= 1
     found.sort()
-    return [Coloring(palette_size, row) for row in found]
+    trusted = Coloring._trusted
+    return [trusted(palette_size, row) for row in found]
 
 
 def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Coloring]:
@@ -264,11 +274,12 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
     bits = bin(ok)[:1:-1]
     heads = list(itertools.product(range(k), repeat=n // 2))
     tails = list(itertools.product(range(k), repeat=n - n // 2))
+    trusted = Coloring._trusted
     found = []
     a = bits.find("1")
     while a >= 0:
         h, t = divmod(a, len(tails))
-        found.append(Coloring(k, heads[h] + tails[t]))
+        found.append(trusted(k, heads[h] + tails[t]))
         a = bits.find("1", a + 1)
     return found
 

@@ -11,6 +11,7 @@ from majoritylab.counterexample import build_truncation
 from majoritylab.errors import CycleFound, PaletteMismatch, TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import (
+    DeficiencyReport,
     TruthView,
     brute_force_majority_colorings,
     enumerate_majority_colorings,
@@ -65,6 +66,26 @@ class TestVerify:
             mono = sum(1 for u in g.out(v) if colors[u] == colors[v])
             diff = g.out_degree(v) - mono
             assert report.checks[v] == (mono, diff, diff >= mono)
+
+    @given(
+        st.one_of(dags(max_vertices=8), digraphs(max_vertices=8)),
+        st.integers(2, 3),
+        st.integers(0, 2**16),
+    )
+    def test_matches_report_from_counts(self, g, k, seed):
+        # The one-pass report equals the two-pass construction over the same
+        # per-vertex counts, violated colorings and cycles included.
+        rng = random.Random(seed)
+        colors = tuple(rng.randrange(k) for _ in range(g.vertex_count))
+        report = verify(g, Coloring(k, colors))
+        counts = []
+        for v in range(g.vertex_count):
+            mono = majority.monochromatic(colors, v, g.out(v))
+            counts.append((mono, g.out_degree(v) - mono))
+        expected = DeficiencyReport.from_counts(counts)
+        assert report.checks == expected.checks
+        assert report.satisfied == expected.satisfied
+        assert report.first_violation == expected.first_violation
 
     @given(dags(max_vertices=8), st.integers(0, 2**16))
     def test_color_swap_invariance(self, g, seed):
@@ -148,6 +169,11 @@ class TestEnumerate:
         g.add_edge(0, 1)
         result = enumerate_majority_colorings(g, 2, fixed={0: 0})
         assert [c.colors for c in result] == [(0, 1)]
+        # With every vertex pinned there is one coloring or none.
+        assert enumerate_majority_colorings(g, 2, fixed={0: 1, 1: 0}) == [
+            Coloring(2, (1, 0))
+        ]
+        assert enumerate_majority_colorings(g, 2, fixed={0: 1, 1: 1}) == []
         with pytest.raises(ValueError, match="out of range"):
             enumerate_majority_colorings(g, 2, fixed={2: 0})
         with pytest.raises(ValueError, match="outside palette"):
@@ -161,6 +187,30 @@ class TestEnumerate:
         with pytest.raises(TooLarge, match="more than 3 majority colorings of 2 vertices"):
             enumerate_majority_colorings(DiGraph(2), 2)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_solutions_skip_the_palette_check(self, monkeypatch, k):
+        # The engine and the oracle build their solutions from the palette,
+        # so they must not run Coloring's check again; the public
+        # constructor keeps it.
+        g = DiGraph(4)
+        for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+            g.add_edge(u, v)
+
+        def refuse(self):
+            raise AssertionError("palette checked twice")
+
+        with monkeypatch.context() as m:
+            m.setattr(Coloring, "__post_init__", refuse)
+            fast = enumerate_majority_colorings(g, k)
+            slow = brute_force_majority_colorings(g, k)
+        assert fast and fast == slow
+        for c in fast + slow:
+            assert type(c.colors) is tuple
+            assert c == Coloring(k, c.colors)
+            assert hash(c) == hash(Coloring(k, c.colors))
+        with pytest.raises(PaletteMismatch):
+            Coloring(2, (0, 2))
+
     # Graphs with cycles have no topological order; the search uses id order.
     @given(st.one_of(dags(max_vertices=7), digraphs(max_vertices=7)), st.integers(2, 3))
     @settings(max_examples=80)
@@ -172,7 +222,10 @@ class TestEnumerate:
 
     def test_two_color_brute_force_small_graphs(self):
         # The empty graph has exactly one coloring, the empty one.
-        assert brute_force_majority_colorings(DiGraph(0), 2) == [Coloring(2, ())]
+        for k in (1, 2, 3):
+            empty = [Coloring(k, ())]
+            assert brute_force_majority_colorings(DiGraph(0), k) == empty
+            assert enumerate_majority_colorings(DiGraph(0), k) == empty
         assert [c.colors for c in brute_force_majority_colorings(DiGraph(1), 2)] == [
             (0,),
             (1,),
