@@ -380,6 +380,46 @@ class TestMultigraphCommands:
         assert "0 1 1" in out
 
 
+class TestLineRecords:
+    """Both line-record files: field count, integer fields, skipped lines."""
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("coloring", "0 0\n1 1 1\n", "line 2: expected 'vertex color'"),
+            ("coloring", "# c\n\n0\n", "line 3: expected 'vertex color'"),
+            ("coloring", "0 0\n1 x\n", "line 2: expected two integers"),
+            ("coloring", "  # c\n0 1.0\n", "line 2: expected two integers"),
+            ("multigraph", "0 1\n", "line 1: expected 'u v w'"),
+            ("multigraph", "# c\n\n0 1 2 3\n", "line 3: expected 'u v w'"),
+            ("multigraph", "0 1 x\n", "line 1: expected three integers"),
+            ("multigraph", "\n0 1 1\n#\n0 2 1e3\n", "line 4: expected three integers"),
+        ],
+    )
+    def test_bad_record_names_its_line(self, path_graph_file, tmp_path, kind, text, message):
+        f = tmp_path / "records.txt"
+        f.write_text(text, encoding="utf-8")
+        if kind == "coloring":
+            argv = ["majority", "verify", str(path_graph_file), str(f)]
+        else:
+            argv = ["multigraph", "solve", str(f)]
+        assert run(argv) == (2, "", f"error: {message}\n")
+
+    def test_coloring_skips_blank_and_comment_lines(self, path_graph_file, tmp_path):
+        f = tmp_path / "c.txt"
+        f.write_text("# colors\n\n0 0\n   \n  # mid\n1 1\n2 0\n", encoding="utf-8")
+        code, out, _ = run(["majority", "verify", str(path_graph_file), str(f)])
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,1,true", "1,0,1,true", "2,0,0,true"]
+
+    def test_multigraph_skips_blank_and_comment_lines(self, tmp_path):
+        f = tmp_path / "mg.txt"
+        f.write_text("# weights\n\n  0 1 5  \n\t\n#0 2 9\n", encoding="utf-8")
+        code, out, _ = run(["multigraph", "solve", str(f)])
+        assert code == 0
+        assert out.splitlines() == ["0 1", "1 0"]
+
+
 class TestGraphConvert:
     def test_text_to_dot_and_back(self, path_graph_file, tmp_path):
         code, dot, _ = run(["graph", "convert", str(path_graph_file), "--to", "dot"])
