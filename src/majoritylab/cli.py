@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import counterexample as cx
 from . import gadgets, graph, infinite, majority, multigraph
@@ -38,20 +39,27 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> graph.Coloring:
-    """Coloring file: one 'vertex color' pair per line; '#' starts a comment."""
-    entries: dict[int, int] = {}
+def _line_records(text: str, shape: str, count: str) -> Iterator[tuple[int, list[int]]]:
+    """``(line number, integers)`` per record; blank and '#' lines are skipped."""
+    width = len(shape.split())
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'vertex color'")
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: expected '{shape}'")
         try:
-            v, c = int(parts[0]), int(parts[1])
+            fields = [int(p) for p in parts]
         except ValueError:
-            raise ParseError(f"line {lineno}: expected two integers") from None
+            raise ParseError(f"line {lineno}: expected {count} integers") from None
+        yield lineno, fields
+
+
+def _parse_coloring(text: str, vertex_count: int, palette_size: int | None) -> graph.Coloring:
+    """Coloring file: one 'vertex color' pair per line; '#' starts a comment."""
+    entries: dict[int, int] = {}
+    for lineno, (v, c) in _line_records(text, "vertex color", "two"):
         if not 0 <= v < vertex_count:
             raise ParseError(f"line {lineno}: vertex {v} out of range")
         if c < 0:
@@ -79,17 +87,7 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
     """
     triples: list[tuple[int, int, int]] = []
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'u v w'")
-        try:
-            u, v, w = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected three integers") from None
+    for lineno, (u, v, w) in _line_records(text, "u v w", "three"):
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: vertex ids must be non-negative")
         if w < 1:

@@ -193,32 +193,24 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
         raise ValueError("gadget is not valid: internal out-edge leaves the gadget")
     internal = sorted(handle.internal)
     check_exhaustion_bound(len(internal))
-    members = sorted(handle.members)
-    local = {v: i for i, v in enumerate(members)}
-    targets = [(local[w], [local[t] for t in g.out(w)]) for w in internal]
-    internal_local = [local[w] for w in internal]
-    anchor_local = local[handle.anchor]
-    inputs_local = [local[u] for u in handle.inputs]
-    output_local = local[handle.output]
-
-    k = len(handle.inputs)
+    targets = [(w, g.out(w)) for w in internal]
+    # Indexed by the graph's own ids; the anchor keeps color 0 throughout.
+    colors = [0] * g.vertex_count
     outcomes: list[PrecoloringOutcome] = []
-    colors = [0] * len(members)
-    for pre in itertools.product((False, True), repeat=k):
-        colors[anchor_local] = 0
-        for u, truth in zip(inputs_local, pre):
+    for pre in itertools.product((False, True), repeat=len(handle.inputs)):
+        for u, truth in zip(handle.inputs, pre):
             colors[u] = 0 if truth else 1
         extension_count = 0
         output_truths: set[bool] = set()
         for mask in range(1 << len(internal)):
-            for bit, w in enumerate(internal_local):
+            for bit, w in enumerate(internal):
                 colors[w] = (mask >> bit) & 1
             for w, outs in targets:
                 if 2 * monochromatic(colors, w, outs) > len(outs):
                     break
             else:
                 extension_count += 1
-                output_truths.add(colors[output_local] == 0)
+                output_truths.add(colors[handle.output] == 0)
         output_truth = output_truths.pop() if len(output_truths) == 1 else None
         outcomes.append(
             PrecoloringOutcome(

@@ -8,8 +8,8 @@ out-neighborhood (its successor plus the outputs of every gadget hooked
 up to it) has a closed form with at most finitely many exceptions, so
 the majority condition can be evaluated with counts that are integers
 or ``math.inf`` (countably many).  A position's verdict can change only
-at a support position or just past one, which makes a check of those
-few positions exhaustive.
+where a run of consecutive support positions starts or ends, or just
+past one, which makes a check of those few positions exhaustive.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ class SupportColoring:
             position += 1
         return position
 
-    @property
-    def stationary_from(self) -> int:
-        """First position from which truth and out-profile no longer change."""
-        return (max(self.support) if self.support else 0) + 2
-
     def __str__(self) -> str:
         positions = ",".join(str(p) for p in sorted(self.support))
         return f"{self.mode.value}{{{positions}}}"
@@ -92,13 +87,20 @@ def check_symbolic(d: SupportColoring) -> int | None:
 
     By ``out_profile`` a position's verdict depends only on its truth and
     on whether some later position is true, and both change only at 1, at
-    a support position or just past one.  Each such change point is
-    checked, in order, and stands for every position up to the next one,
-    so the first witness found is the smallest on the whole infinite path.
-    Gadget internals are exempt: their forced extension always satisfies
-    them, as established by the gadget oracle.
+    a run of consecutive support positions' first or last position, or
+    just past a run.  Each change point is checked, in order, and stands
+    for every position up to the next one, so the first witness found is
+    the smallest on the whole infinite path.  Gadget internals are exempt:
+    their forced extension always satisfies them (see the gadget oracle).
     """
-    for position in sorted({1, *d.support, *(s + 1 for s in d.support)}):
+    support = d.support
+    points = {1}
+    for s in support:
+        if s + 1 not in support:  # a run's last position, and the one past it
+            points.update((s, s + 1))
+        elif s - 1 not in support:  # a run's first position
+            points.add(s)
+    for position in sorted(points):
         truth = d.truth(position)
         true_count, false_count = out_profile(position, d)
         mono = true_count if truth else false_count

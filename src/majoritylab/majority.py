@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import counterexample
 from .errors import CycleFound, TooLarge
@@ -50,10 +50,14 @@ class DeficiencyReport:
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[int, int]]) -> "DeficiencyReport":
-        """The report over per-vertex ``(mono, diff)`` pairs in vertex order."""
-        checks = tuple(VertexCheck(mono, diff, mono <= diff) for mono, diff in counts)
-        first = next((v for v, c in enumerate(checks) if not c.satisfied), None)
-        return cls(checks, first is None, first)
+        """The report over ``(mono, diff)`` pairs in vertex order, read in one pass."""
+        checks: list[VertexCheck] = []
+        first = None
+        for v, (mono, diff) in enumerate(counts):
+            if mono > diff and first is None:
+                first = v
+            checks.append(VertexCheck(mono, diff, mono <= diff))
+        return cls(tuple(checks), first is None, first)
 
 
 @dataclass(frozen=True)
@@ -105,16 +109,12 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
             f"graph has {g.vertex_count}"
         )
     colors = coloring.colors
-    checks: list[VertexCheck] = []
-    first = None
-    for v in range(g.vertex_count):
-        out = g.out(v)
-        mono = monochromatic(colors, v, out)
-        diff = len(out) - mono
-        if mono > diff and first is None:
-            first = v
-        checks.append(VertexCheck(mono, diff, mono <= diff))
-    return DeficiencyReport(tuple(checks), first is None, first)
+    def counts() -> Iterator[tuple[int, int]]:
+        for v in range(g.vertex_count):
+            out = g.out(v)
+            mono = monochromatic(colors, v, out)
+            yield mono, len(out) - mono
+    return DeficiencyReport.from_counts(counts())
 
 
 def greedy_dag_2color(g: DiGraph) -> Coloring:

@@ -46,10 +46,6 @@ class WeightedMultigraph:
     def vertex_count(self) -> int:
         return len(self._adj)
 
-    def add_vertex(self) -> VertexId:
-        self._adj.append({})
-        return len(self._adj) - 1
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
             raise OutOfRangeError(
@@ -70,10 +66,6 @@ class WeightedMultigraph:
     def incident(self, v: VertexId) -> list[tuple[VertexId, int]]:
         self._check_vertex(v)
         return sorted(self._adj[v].items())
-
-    def degree_weight(self, v: VertexId) -> int:
-        self._check_vertex(v)
-        return sum(self._adj[v].values())
 
     def edges(self) -> list[tuple[VertexId, VertexId, int]]:
         """All edges as (u, v, w) with u < v, sorted."""

@@ -213,8 +213,8 @@ def test_criterion_6_shrinkage_inclusion():
         image = set(phi.values())
         assert len(phi) == len(image) == g.vertex_count
         assert image == _reachable(big, big_spec.path_vertex(2)) | {big_spec.anchor}
-        mapped = {(phi[u], phi[v]) for u, v in g.edges()}
-        assert mapped == {(u, v) for u, v in big.edges() if u in image}, n
+        mapped = {(phi[u], phi[v]) for u, v in g.sorted_edges()}
+        assert mapped == {(u, v) for u, v in big.sorted_edges() if u in image}, n
 
     # (b) Shifted inclusion: patterns on v_2..v_4 at depth n+1 are feasible
     # on v_1..v_3 at depth n.

@@ -70,7 +70,7 @@ class TestLayout:
     def test_hookup_edges_present(self):
         g, spec = build_truncation(6)
         for (i, j), handle in spec.gadget_registry.items():
-            assert g.has_edge(spec.path_vertex(i - 1), handle.output)
+            assert handle.output in g.out(spec.path_vertex(i - 1))
 
     def test_gadget_ids_follow_anchor_in_registry_order(self):
         _, spec = build_truncation(5)
@@ -114,10 +114,10 @@ class TestContainment:
                 mapping[s_small.neg_right] = s_big.neg_right
                 mapping[s_small.neg_anchor] = s_big.neg_anchor
                 mapping[s_small.collector] = s_big.collector
-        small_edges = {(mapping[u], mapping[v]) for u, v in g_small.edges()}
+        small_edges = {(mapping[u], mapping[v]) for u, v in g_small.sorted_edges()}
         image = set(mapping.values())
         induced = {
-            (u, v) for u, v in g_big.edges() if u in image and v in image
+            (u, v) for u, v in g_big.sorted_edges() if u in image and v in image
         }
         assert small_edges == induced
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import gadget_internal_sort
 from majoritylab import gadgets
+from majoritylab.counterexample import build_truncation
 from majoritylab.errors import TooLarge
 from majoritylab.gadgets import (
     DEFAULT_EXHAUSTION_BOUND,
@@ -236,6 +237,16 @@ class TestSemanticsOracle:
             (o.inputs, o.extension_exists, o.extension_unique, o.output_truth)
             for o in report.outcomes
         ] == expected
+
+    def test_embedded_gadgets_match_isolated_chains(self):
+        # In G_5 the inputs are path ids, the anchor is id 5 and the
+        # internals sit past both, so no gadget's members are 0..V-1.
+        g, spec = build_truncation(5)
+        assert len(spec.gadget_registry) == 6
+        for handle in spec.gadget_registry.values():
+            assert sorted(handle.members) != list(range(len(handle.members)))
+            isolated = verify_or_semantics(*fresh_chain(len(handle.inputs)))
+            assert verify_or_semantics(g, handle).outcomes == isolated.outcomes
 
     def test_exhaustion_bound(self):
         # 7 stages, 28 internal vertices: refused before enumerating 2^36

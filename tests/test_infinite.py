@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from majoritylab import infinite
 from majoritylab.infinite import (
     SupportColoring,
     SupportMode,
@@ -21,6 +22,11 @@ def true_support(*positions):
 
 def false_support(*positions):
     return SupportColoring(SupportMode.FINITE_FALSE, frozenset(positions))
+
+
+def stationary_from(d):
+    """First position from which truth and out-profile no longer change."""
+    return max(d.support, default=0) + 2
 
 
 class TestSupportColoring:
@@ -59,7 +65,7 @@ def profile_by_definition(position, d):
     """
     counts = {True: 0, False: 0}
     counts[d.truth(position + 1)] += 1
-    window_end = max(d.stationary_from, position + 2)
+    window_end = max(stationary_from(d), position + 2)
     seen_true = d.truth(position + 1)
     for j in range(position + 2, window_end + 1):
         seen_true = seen_true or d.truth(j)
@@ -107,7 +113,7 @@ class TestOutProfile:
 
     def test_stationary_beyond_support(self):
         for d in (true_support(2, 5), false_support(1, 3)):
-            tail = d.stationary_from
+            tail = stationary_from(d)
             assert out_profile(tail, d) == out_profile(tail + 1, d)
             assert out_profile(tail, d) == out_profile(tail + 10, d)
 
@@ -131,7 +137,7 @@ class TestOutProfile:
                 truths.append(any(d.truth(m) for m in range(position + 1, j + 1)))
             return sum(truths), len(truths) - sum(truths)
 
-        horizon = d.stationary_from + position + 10
+        horizon = stationary_from(d) + position + 10
         t1, f1 = direct_counts(horizon)
         t2, f2 = direct_counts(horizon + 7)
         if true_count == math.inf:
@@ -147,10 +153,10 @@ class TestOutProfile:
 def scan_to_stationarity(d):
     """Smallest witness by checking every position up to stationarity.
 
-    Every position past ``stationary_from`` has the last one's truth and
+    Every position past ``stationary_from(d)`` has the last one's truth and
     out-profile, so this linear scan is exhaustive on its own terms.
     """
-    for position in range(1, d.stationary_from + 1):
+    for position in range(1, stationary_from(d) + 1):
         true_count, false_count = out_profile(position, d)
         if d.truth(position):
             mono, diff = true_count, false_count
@@ -171,6 +177,19 @@ class TestCheckSymbolic:
                     assert check_symbolic(d) == scan_to_stationarity(d), d
                     checked += 1
         assert checked == 4760
+
+    def test_long_run_is_checked_at_its_ends(self, monkeypatch):
+        # One profile per change point: 1, the run's last position and the
+        # one past it, not one per support position.
+        positions = []
+
+        def counted(position, d):
+            positions.append(position)
+            return out_profile(position, d)
+
+        monkeypatch.setattr(infinite, "out_profile", counted)
+        assert check_symbolic(false_support(*range(1, 10_001))) == 10_001
+        assert len(positions) <= 4
 
     def test_far_singleton_is_checked_at_its_change_points(self):
         assert check_symbolic(true_support(10**12)) == 10**12 + 1
@@ -246,6 +265,6 @@ class TestConsistencyWithTruncations:
         descriptions += [false_support(k) for k in (1, 2, 3)]
         for d in descriptions:
             assert check_symbolic(d) is not None
-            for n in range(max(2, d.stationary_from), 9):
+            for n in range(max(2, stationary_from(d)), 9):
                 pattern = tuple(d.truth(i) for i in range(1, n + 1))
                 assert pattern not in full_sets[n], (str(d), n)

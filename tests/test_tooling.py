@@ -1,10 +1,11 @@
 """The package must still fit what the benchmark expects of it.
 
 ``bench/spans.py`` looks up each ``(module, function)`` in ``WRAPPED`` by
-name when a traced run starts, and the cli-pipeline workload compares CLI
-stdout with the SHA-256 digests in ``bench/golden.json``.  A renamed
-function or a changed byte of output would only surface there; these
-tests catch both with the fast suite.
+name when a traced run starts, ``bench/workloads.py`` calls the package
+directly, and the cli-pipeline workload compares CLI stdout with the
+SHA-256 digests in ``bench/golden.json``.  A renamed function, a changed
+signature or a changed byte of output would only surface there; these
+tests catch them with the fast suite.
 """
 
 import contextlib
@@ -34,11 +35,32 @@ def _wrapped() -> tuple:
     return spans.WRAPPED
 
 
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # @dataclass looks its module up in sys.modules while the class is made.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+workloads = _workloads()
+
+
 def test_every_wrapped_function_exists():
     assert _wrapped()
     for module_name, attr, _, _ in _wrapped():
         module = importlib.import_module(f"majoritylab.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_its_warm_up_and_first_task(name, tmp_path):
+    # The workloads also call the package directly, outside WRAPPED; this
+    # runs those calls and the workload's own output checks on seed 1.
+    plan = workloads.WORKLOADS[name](1, workloads.Env(BENCH.parent / "src", tmp_path))
+    for task in (plan.warm_up, plan.tasks[0]):
+        task.check(task.run())
 
 
 @pytest.mark.parametrize("line", sorted(GOLDEN))
