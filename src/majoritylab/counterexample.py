@@ -16,8 +16,7 @@ truncations are therefore byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import TooLarge
 from .gadgets import GadgetHandle, build_or_chain, forced_extension, stage_names
@@ -26,8 +25,7 @@ from .graph import MAX_VERTICES, DiGraph, TripletLabel, VertexId
 SigmaLabeling = dict[VertexId, TripletLabel]
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(NamedTuple):
     """Layout of a built truncation: path ids, anchor id, gadget registry."""
 
     n: int
@@ -42,8 +40,7 @@ class TruncationSpec:
         return self.path[i - 1]
 
 
-@dataclass(frozen=True)
-class SigmaCheckResult:
+class SigmaCheckResult(NamedTuple):
     ok: bool
     first_violation: tuple[VertexId, VertexId] | None
 

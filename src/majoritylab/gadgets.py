@@ -18,8 +18,7 @@ internal assignment for every input precoloring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TooLarge
 from .graph import MAX_VERTICES, DiGraph, VertexId
@@ -29,8 +28,7 @@ from .majority import monochromatic
 DEFAULT_EXHAUSTION_BOUND = 24
 
 
-@dataclass(frozen=True)
-class GadgetStage:
+class GadgetStage(NamedTuple):
     """One binary stage of a chain: two inputs, three negators, a collector."""
 
     left: VertexId
@@ -45,27 +43,36 @@ class GadgetStage:
         return (self.neg_left, self.neg_right, self.neg_anchor, self.collector)
 
 
-@dataclass(frozen=True)
-class GadgetHandle:
+class _GadgetHandleFields(NamedTuple):
+    anchor: VertexId
+    stages: tuple[GadgetStage, ...]
+
+
+class GadgetHandle(_GadgetHandleFields):
     """A built OR chain: its anchor and its binary stages, in order.
 
     Stage s ORs the previous stage's collector with input s+1, so the
     inputs, the output and the internal vertices all follow from the
-    stages; the constructor rejects stages that do not form such a chain.
+    stages; the constructor, ``_make`` and ``_replace`` reject stages that
+    do not form such a chain.
     """
 
-    anchor: VertexId
-    stages: tuple[GadgetStage, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.stages:
+    def __new__(cls, anchor: VertexId, stages: tuple[GadgetStage, ...]) -> "GadgetHandle":
+        if not stages:
             raise ValueError("a gadget needs at least one stage")
-        for prev, stage in zip(self.stages, self.stages[1:]):
+        for prev, stage in zip(stages, stages[1:]):
             if stage.left != prev.collector:
                 raise ValueError("a stage's left input is not the previous collector")
-        fresh = [v for stage in self.stages for v in stage.fresh]
+        fresh = [v for stage in stages for v in stage.fresh]
         if len(set(fresh)) != len(fresh):
             raise ValueError("a fresh vertex id repeats across stages")
+        return tuple.__new__(cls, (anchor, stages))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "GadgetHandle":
+        return cls(*fields)
 
     @property
     def inputs(self) -> tuple[VertexId, ...]:
@@ -104,8 +111,7 @@ class PrecoloringOutcome(NamedTuple):
     output_truth: bool | None
 
 
-@dataclass(frozen=True)
-class SemanticsReport:
+class SemanticsReport(NamedTuple):
     """Exhaustive truth table of a gadget over all input precolorings."""
 
     outcomes: tuple[PrecoloringOutcome, ...]

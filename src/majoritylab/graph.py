@@ -16,8 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CycleFound,
@@ -65,6 +64,14 @@ class DiGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(out) for out in self._out)
+
+    @property
+    def adjacency(self) -> Sequence[Sequence[VertexId]]:
+        """Every vertex's out-neighbors, indexed by id.  Must not be mutated.
+
+        For loops over all vertices: unlike :meth:`out`, it checks no id.
+        """
+        return self._out
 
     def add_vertex(self) -> VertexId:
         """Append a fresh vertex and return its id (= previous vertex count)."""
@@ -122,42 +129,46 @@ class DiGraph:
         return f"DiGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A total vertex -> color assignment over a palette 0..palette_size-1.
-
-    ``Coloring(k, colors)`` checks every color against the palette.  The
-    private :meth:`_trusted` skips that check; only the search engine and
-    the brute-force oracle in :mod:`majority` call it, on tuples they build
-    from ``range(palette_size)`` or from pins they have already checked.
-    """
-
+class _ColoringFields(NamedTuple):
     palette_size: int
     colors: tuple[int, ...]
+
+
+class Coloring(_ColoringFields):
+    """A total vertex -> color assignment over a palette 0..palette_size-1.
+
+    ``Coloring(k, colors)`` checks every color against the palette, and so
+    do ``_make`` and ``_replace``.  The private :meth:`_trusted` skips that
+    check; only the search engine and the brute-force oracle in
+    :mod:`majority` call it, on tuples they build from
+    ``range(palette_size)`` or from pins they have already checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, palette_size: int, colors: Sequence[int]) -> "Coloring":
+        if type(colors) is not tuple:
+            colors = tuple(colors)
+        if palette_size < 1:
+            raise ValueError("palette_size must be positive")
+        # min/max check every color at C speed; the loop only names the
+        # first vertex outside the palette.
+        if colors and not (0 <= min(colors) and max(colors) < palette_size):
+            for v, c in enumerate(colors):
+                if not 0 <= c < palette_size:
+                    raise PaletteMismatch(
+                        f"vertex {v} has color {c}, palette size is {palette_size}"
+                    )
+        return tuple.__new__(cls, (palette_size, colors))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Coloring":
+        return cls(*fields)
 
     @classmethod
     def _trusted(cls, palette_size: int, colors: tuple[int, ...]) -> "Coloring":
         """A coloring of a tuple already known to lie in the palette."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "palette_size", palette_size)
-        object.__setattr__(self, "colors", colors)
-        return self
-
-    def __post_init__(self) -> None:
-        colors = self.colors
-        if type(colors) is not tuple:
-            colors = tuple(colors)
-            object.__setattr__(self, "colors", colors)
-        if self.palette_size < 1:
-            raise ValueError("palette_size must be positive")
-        # min/max check every color at C speed; the loop only names the
-        # first vertex outside the palette.
-        if colors and not (0 <= min(colors) and max(colors) < self.palette_size):
-            for v, c in enumerate(colors):
-                if not 0 <= c < self.palette_size:
-                    raise PaletteMismatch(
-                        f"vertex {v} has color {c}, palette size is {self.palette_size}"
-                    )
+        return tuple.__new__(cls, (palette_size, colors))
 
 
 def topological_sort(g: DiGraph) -> list[VertexId]:

@@ -21,7 +21,6 @@ keep it as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import counterexample
@@ -40,8 +39,7 @@ class VertexCheck(NamedTuple):
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     """Per-vertex monochromatic/bichromatic out-edge counts (or weights)."""
 
     checks: tuple[VertexCheck, ...]
@@ -60,19 +58,28 @@ class DeficiencyReport:
         return cls(tuple(checks), first is None, first)
 
 
-@dataclass(frozen=True)
-class TruthView:
-    """Reads a 2-coloring as booleans relative to an anchor vertex.
-
-    A vertex is *true* exactly when it shares the anchor's color.
-    """
-
+class _TruthViewFields(NamedTuple):
     anchor: VertexId
     coloring: Coloring
 
-    def __post_init__(self) -> None:
-        if self.coloring.palette_size != 2:
+
+class TruthView(_TruthViewFields):
+    """Reads a 2-coloring as booleans relative to an anchor vertex.
+
+    A vertex is *true* exactly when it shares the anchor's color.  The
+    constructor, ``_make`` and ``_replace`` refuse other palette sizes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, anchor: VertexId, coloring: Coloring) -> "TruthView":
+        if coloring.palette_size != 2:
             raise ValueError("truth semantics require palette size 2")
+        return tuple.__new__(cls, (anchor, coloring))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "TruthView":
+        return cls(*fields)
 
     def truth(self, v: VertexId) -> bool:
         return self.coloring.colors[v] == self.coloring.colors[self.anchor]
@@ -110,8 +117,7 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
         )
     colors = coloring.colors
     def counts() -> Iterator[tuple[int, int]]:
-        for v in range(g.vertex_count):
-            out = g.out(v)
+        for v, out in enumerate(g.adjacency):
             mono = monochromatic(colors, v, out)
             yield mono, len(out) - mono
     return DeficiencyReport.from_counts(counts())
@@ -127,9 +133,10 @@ def greedy_dag_2color(g: DiGraph) -> Coloring:
     ``CycleFound``, which names the cycle.
     """
     order = topological_sort(g)
+    adjacency = g.adjacency
     colors = [0] * g.vertex_count
     for v in reversed(order):
-        out = g.out(v)
+        out = adjacency[v]
         if 2 * monochromatic(colors, v, out) > len(out):
             colors[v] = 1
     return Coloring(2, tuple(colors))

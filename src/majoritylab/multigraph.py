@@ -20,9 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, SelfLoopError, TooLarge
 from .graph import Coloring, VertexId
@@ -95,8 +94,7 @@ class WeightedMultigraph:
         )
 
 
-@dataclass(frozen=True)
-class LocalSearchResult:
+class LocalSearchResult(NamedTuple):
     coloring: Coloring
     flips: int
 

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,15 @@ class TestInfiniteCommands:
         assert lines[0] == "mode,support,witness"
         assert len(lines) == 1 + 8
         assert "finite-true,2,3" in lines
+
+    @pytest.mark.parametrize("size, pos", [("4", "100"), ("1000000000", "1000000000")])
+    def test_sweep_past_budget_exits_2_at_once(self, size, pos):
+        start = time.perf_counter()
+        code, out, err = run(["infinite", "sweep", "--max-size", size, "--max-pos", pos])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the sweep lists at least ")
+        assert err.endswith(" descriptions, past the budget 1000000\n")
 
 
 class TestMultigraphCommands:

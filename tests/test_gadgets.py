@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -131,9 +130,7 @@ class TestConstruction:
 
 class TestHandleShape:
     def test_handle_holds_anchor_and_stages_only(self):
-        assert [f.name for f in dataclasses.fields(GadgetHandle)] == [
-            "anchor", "stages"
-        ]
+        assert GadgetHandle._fields == ("anchor", "stages")
 
     def test_members(self):
         _, handle = fresh_chain(3)
@@ -151,9 +148,28 @@ class TestHandleShape:
     def test_repeated_fresh_id_rejected(self):
         _, handle = fresh_chain(3)
         first, second = handle.stages
-        clash = dataclasses.replace(second, neg_right=first.neg_left)
+        clash = second._replace(neg_right=first.neg_left)
         with pytest.raises(ValueError, match="repeats"):
             GadgetHandle(handle.anchor, (first, clash))
+
+    @pytest.mark.parametrize("build", [
+        lambda h, stages: GadgetHandle(h.anchor, stages),
+        lambda h, stages: GadgetHandle._make((h.anchor, stages)),
+        lambda h, stages: h._replace(stages=stages),
+    ], ids=["constructor", "_make", "_replace"])
+    def test_every_way_in_checks_the_stages(self, build):
+        _, handle = fresh_chain(3)
+        with pytest.raises(ValueError, match="previous collector"):
+            build(handle, handle.stages[::-1])
+        with pytest.raises(ValueError, match="at least one stage"):
+            build(handle, ())
+
+    def test_handle_is_read_only(self):
+        _, handle = fresh_chain(2)
+        with pytest.raises(AttributeError):
+            handle.stages = ()
+        with pytest.raises(AttributeError):
+            handle.note = "x"
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_internal_order_matches_sort(self, k):
@@ -162,7 +178,7 @@ class TestHandleShape:
 
     def test_prefix_of_stages_is_a_shorter_chain(self):
         _, handle = fresh_chain(4)
-        short = dataclasses.replace(handle, stages=handle.stages[:2])
+        short = handle._replace(stages=handle.stages[:2])
         assert short.inputs == (1, 2, 3)
         assert short.output == handle.stages[1].collector
         assert len(short.internal) == 8

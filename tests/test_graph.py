@@ -330,6 +330,31 @@ class TestColoring:
     def test_empty_coloring(self):
         assert Coloring(2, ()).colors == ()
 
+    def test_make_and_replace_check_the_palette(self):
+        c = Coloring(2, (0, 1))
+        with pytest.raises(PaletteMismatch, match="vertex 1 has color 2"):
+            Coloring._make((2, (0, 2)))
+        with pytest.raises(PaletteMismatch, match="vertex 1 has color 2"):
+            c._replace(colors=(0, 2))
+        with pytest.raises(ValueError, match="palette_size must be positive"):
+            c._replace(palette_size=0)
+        assert c._replace(colors=[1, 0]) == Coloring(2, (1, 0))
+        assert type(c._replace(colors=[1, 0]).colors) is tuple
+
+    def test_read_only(self):
+        c = Coloring(2, (0, 1))
+        with pytest.raises(AttributeError):
+            c.colors = (1, 0)
+        with pytest.raises(AttributeError):
+            c.note = "x"
+
+    def test_equality_hash_and_repr(self):
+        c = Coloring(2, [0, 1])
+        assert c == Coloring(2, (0, 1))
+        assert c != Coloring(3, (0, 1)) and c != Coloring(2, (1, 0))
+        assert hash(c) == hash((2, (0, 1)))
+        assert repr(c) == "Coloring(palette_size=2, colors=(0, 1))"
+
     @pytest.mark.parametrize(
         "colors, message",
         [

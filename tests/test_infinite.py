@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from majoritylab import infinite
+from majoritylab.errors import TooLarge
 from majoritylab.infinite import (
     SupportColoring,
     SupportMode,
@@ -42,6 +43,22 @@ class TestSupportColoring:
 
     def test_rendering(self):
         assert str(true_support(3, 1)) == "finite-true{1,3}"
+
+    def test_make_and_replace_normalise_and_check(self):
+        d = SupportColoring._make((SupportMode.FINITE_TRUE, [3, 1, 3]))
+        assert d == true_support(1, 3) and type(d.support) is frozenset
+        assert type(d._replace(support=[2]).support) is frozenset
+        with pytest.raises(ValueError, match="1-based"):
+            SupportColoring._make((SupportMode.FINITE_TRUE, [0]))
+        with pytest.raises(ValueError, match="1-based"):
+            d._replace(support={0, 2})
+
+    def test_read_only(self):
+        d = true_support(2)
+        with pytest.raises(AttributeError):
+            d.support = frozenset()
+        with pytest.raises(AttributeError):
+            d.note = "x"
 
     def test_next_true(self):
         assert true_support(2, 5).next_true(1) == 2
@@ -245,6 +262,23 @@ class TestSweep:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             theorem_sweep(-1, 5)
+
+    def test_budget_counts_both_modes(self, monkeypatch):
+        # theorem_sweep(1, 3) lists 2 * (1 + 3) = 8 descriptions.
+        monkeypatch.setattr(infinite, "SWEEP_BUDGET", 8)
+        assert len(theorem_sweep(1, 3).entries) == 8
+        monkeypatch.setattr(infinite, "SWEEP_BUDGET", 7)
+        with pytest.raises(TooLarge, match="at least 8 descriptions"):
+            theorem_sweep(1, 3)
+
+    def test_huge_bounds_refused_before_listing(self):
+        with pytest.raises(TooLarge, match="at least 8175952 descriptions"):
+            theorem_sweep(4, 100)
+        with pytest.raises(TooLarge, match="past the budget 1000000"):
+            theorem_sweep(10**9, 10**9)
+
+    def test_sizes_past_the_positions_add_nothing(self):
+        assert theorem_sweep(10**9, 3).entries == theorem_sweep(3, 3).entries
 
 
 class TestConsistencyWithTruncations:

@@ -152,6 +152,22 @@ class TestTruthView:
         with pytest.raises(ValueError):
             TruthView(0, Coloring(3, (0, 1, 2)))
 
+    def test_make_and_replace_require_two_colors(self):
+        view = TruthView(0, Coloring(2, (0, 1)))
+        three = Coloring(3, (0, 1, 2))
+        with pytest.raises(ValueError, match="palette size 2"):
+            TruthView._make((0, three))
+        with pytest.raises(ValueError, match="palette size 2"):
+            view._replace(coloring=three)
+        assert view._replace(anchor=1).truths(range(2)) == (False, True)
+
+    def test_read_only(self):
+        view = TruthView(0, Coloring(2, (0, 1)))
+        with pytest.raises(AttributeError):
+            view.anchor = 1
+        with pytest.raises(AttributeError):
+            view.note = "x"
+
 
 class TestEnumerate:
     def test_single_edge_two_colors(self):
@@ -196,11 +212,11 @@ class TestEnumerate:
         for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             g.add_edge(u, v)
 
-        def refuse(self):
+        def refuse(cls, *fields):
             raise AssertionError("palette checked twice")
 
         with monkeypatch.context() as m:
-            m.setattr(Coloring, "__post_init__", refuse)
+            m.setattr(Coloring, "__new__", refuse)
             fast = enumerate_majority_colorings(g, k)
             slow = brute_force_majority_colorings(g, k)
         assert fast and fast == slow

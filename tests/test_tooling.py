@@ -90,3 +90,21 @@ def test_importing_the_cli_enters_every_wrapped_module(target):
         if module_name == "cli" and target == "majoritylab":
             continue
         assert f"majoritylab.{module_name}" in loaded, module_name
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # Every CLI process and every benchmark set-up imports the package;
+    # dataclasses would pull in inspect, ast, dis and tokenize at start-up.
+    script = (
+        "import sys, majoritylab, majoritylab.cli\n"
+        "for name in majoritylab._EXPORTS: getattr(majoritylab, name).__name__\n"
+        "print(*sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(BENCH.parent / "src")),
+        check=True,
+    )
+    assert proc.stdout.split() == []
