@@ -20,9 +20,8 @@ _EXPORTS = {
         "truncation_names", "verify_sigma",
     ),
     "errors": (
-        "CycleFound", "DuplicateEdgeError", "MajorityLabError",
-        "OutOfRangeError", "PaletteMismatch", "ParseError", "SelfLoopError",
-        "SweepFailure", "TooLarge",
+        "CycleFound", "MajorityLabError", "ParseError", "SweepFailure",
+        "TooLarge",
     ),
     "gadgets": (
         "GadgetHandle", "GadgetStage", "PrecoloringOutcome", "SemanticsReport",
@@ -39,9 +38,9 @@ _EXPORTS = {
         "check_symbolic", "out_profile", "theorem_sweep",
     ),
     "majority": (
-        "DeficiencyReport", "TruthView", "VertexCheck",
-        "brute_force_majority_colorings", "enumerate_majority_colorings",
-        "feasible_prefix_set", "greedy_dag_2color", "project", "verify",
+        "DeficiencyReport", "VertexCheck", "brute_force_majority_colorings",
+        "enumerate_majority_colorings", "feasible_prefix_set",
+        "greedy_dag_2color", "verify",
     ),
     "multigraph": (
         "LocalSearchResult", "WeightedMultigraph", "has_majority_k_coloring",

@@ -97,6 +97,8 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
             raise ParseError(
                 f"line {lineno}: vertex id {top} exceeds the cap {graph.MAX_VERTICES}"
             )
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop ({u}, {u}) rejected")
         triples.append((u, v, w))
     mg = multigraph.WeightedMultigraph(top + 1)
     for u, v, w in triples:
@@ -153,7 +155,7 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
             raise ParseError(f"--free vertex {v} out of range")
     colorings = majority.enumerate_majority_colorings(g, args.colors)
     if free is not None:
-        rows = sorted({majority.project(c, free) for c in colorings})
+        rows = sorted({tuple(c.colors[v] for v in free) for c in colorings})
     else:
         rows = [c.colors for c in colorings]
     for row in rows:

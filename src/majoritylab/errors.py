@@ -4,19 +4,11 @@ from __future__ import annotations
 
 
 class MajorityLabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the package's own errors.
 
-
-class SelfLoopError(MajorityLabError):
-    """An edge from a vertex to itself was rejected."""
-
-
-class DuplicateEdgeError(MajorityLabError):
-    """An already-present directed edge was rejected."""
-
-
-class OutOfRangeError(MajorityLabError):
-    """A vertex id does not exist in the owning graph."""
+    A bad argument raises ``ValueError``; each subclass carries a fact of
+    its own: a cycle, a malformed file, a refused request, a witness.
+    """
 
 
 class CycleFound(MajorityLabError):
@@ -29,10 +21,6 @@ class CycleFound(MajorityLabError):
 
 class ParseError(MajorityLabError):
     """A serialized graph, coloring or multigraph file is malformed."""
-
-
-class PaletteMismatch(MajorityLabError):
-    """A color value is outside the coloring's palette."""
 
 
 class TooLarge(MajorityLabError):

@@ -16,16 +16,9 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    CycleFound,
-    DuplicateEdgeError,
-    OutOfRangeError,
-    ParseError,
-    PaletteMismatch,
-    SelfLoopError,
-)
+from .errors import CycleFound, ParseError
 
 VertexId = int
 
@@ -80,7 +73,7 @@ class DiGraph:
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._out):
-            raise OutOfRangeError(
+            raise ValueError(
                 f"vertex {v} out of range (vertex_count {len(self._out)})"
             )
 
@@ -91,9 +84,9 @@ class DiGraph:
             self._check_vertex(u)
             self._check_vertex(v)
         if u == v:
-            raise SelfLoopError(f"self-loop ({u}, {u}) rejected")
+            raise ValueError(f"self-loop ({u}, {u}) rejected")
         if v in self._out[u]:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+            raise ValueError(f"edge ({u}, {v}) already present")
         self._out[u].append(v)
 
     def out(self, v: VertexId) -> Sequence[VertexId]:
@@ -106,14 +99,14 @@ class DiGraph:
         self._check_vertex(v)
         return len(self._out[v])
 
-    def sorted_edges(self) -> list[tuple[VertexId, VertexId]]:
-        """All edges sorted lexicographically.
+    def sorted_edges(self) -> Iterator[tuple[VertexId, VertexId]]:
+        """All edges in lexicographic order, one at a time.
 
         Sources come in id order already, so only each out-list is sorted.
         """
-        return [
-            (u, v) for u, targets in enumerate(self._out) for v in sorted(targets)
-        ]
+        for u, targets in enumerate(self._out):
+            for v in sorted(targets):
+                yield u, v
 
     def __eq__(self, other: object) -> bool:
         # Structural equality: adjacency order is representational only.
@@ -156,7 +149,7 @@ class Coloring(_ColoringFields):
         if colors and not (0 <= min(colors) and max(colors) < palette_size):
             for v, c in enumerate(colors):
                 if not 0 <= c < palette_size:
-                    raise PaletteMismatch(
+                    raise ValueError(
                         f"vertex {v} has color {c}, palette size is {palette_size}"
                     )
         return tuple.__new__(cls, (palette_size, colors))
@@ -269,6 +262,8 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError("number too long to parse") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
@@ -311,7 +306,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
         # A bad edge goes through add_edge only for its exact error text.
         try:
             g.add_edge(u, v)
-        except (SelfLoopError, DuplicateEdgeError, OutOfRangeError) as e:
+        except ValueError as e:
             raise ParseError(f"edges[{idx}]: {e}") from e
     names: dict[int, str] | None = None
     if "names" in doc:
@@ -389,23 +384,25 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(body[1:-1], 2):
         node = _DOT_NODE_RE.match(line)
-        if node:
-            vid = int(node.group(1))
-            vertices.append(vid)
-            if node.group(2) is not None:
-                names[vid] = _dot_unescape(node.group(2))
-            continue
-        edge = _DOT_EDGE_RE.match(line)
-        if edge:
-            edges.append((int(edge.group(1)), int(edge.group(2))))
-            continue
-        raise ParseError(f"line {lineno}: unrecognized statement {line!r}")
+        edge = None if node else _DOT_EDGE_RE.match(line)
+        if not (node or edge):
+            raise ParseError(f"line {lineno}: unrecognized statement {line!r}")
+        try:  # int() refuses ids past sys.get_int_max_str_digits()
+            if node:
+                vid = int(node.group(1))
+                vertices.append(vid)
+                if node.group(2) is not None:
+                    names[vid] = _dot_unescape(node.group(2))
+            else:
+                edges.append((int(edge.group(1)), int(edge.group(2))))
+        except ValueError:
+            raise ParseError(f"line {lineno}: number too long to parse") from None
     if sorted(vertices) != list(range(len(vertices))):
         raise ParseError("vertex statements must cover ids 0..V-1 exactly once")
     g = DiGraph(len(vertices))
     for idx, (u, v) in enumerate(edges):
         try:
             g.add_edge(u, v)
-        except (SelfLoopError, DuplicateEdgeError, OutOfRangeError) as e:
+        except ValueError as e:
             raise ParseError(f"edge {idx} ({u} -> {v}): {e}") from e
     return g, names or None

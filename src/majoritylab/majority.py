@@ -58,36 +58,6 @@ class DeficiencyReport(NamedTuple):
         return cls(tuple(checks), first is None, first)
 
 
-class _TruthViewFields(NamedTuple):
-    anchor: VertexId
-    coloring: Coloring
-
-
-class TruthView(_TruthViewFields):
-    """Reads a 2-coloring as booleans relative to an anchor vertex.
-
-    A vertex is *true* exactly when it shares the anchor's color.  The
-    constructor, ``_make`` and ``_replace`` refuse other palette sizes.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, anchor: VertexId, coloring: Coloring) -> "TruthView":
-        if coloring.palette_size != 2:
-            raise ValueError("truth semantics require palette size 2")
-        return tuple.__new__(cls, (anchor, coloring))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> "TruthView":
-        return cls(*fields)
-
-    def truth(self, v: VertexId) -> bool:
-        return self.coloring.colors[v] == self.coloring.colors[self.anchor]
-
-    def truths(self, vertices: Iterable[VertexId]) -> tuple[bool, ...]:
-        return tuple(self.truth(v) for v in vertices)
-
-
 def monochromatic(
     colors: Sequence[int], v: VertexId, targets: Iterable[VertexId]
 ) -> int:
@@ -140,11 +110,6 @@ def greedy_dag_2color(g: DiGraph) -> Coloring:
         if 2 * monochromatic(colors, v, out) > len(out):
             colors[v] = 1
     return Coloring(2, tuple(colors))
-
-
-def project(coloring: Coloring, vertices: Sequence[VertexId]) -> tuple[int, ...]:
-    """The coloring restricted to ``vertices``, as a plain tuple."""
-    return tuple(coloring.colors[v] for v in vertices)
 
 
 def enumerate_majority_colorings(
@@ -306,6 +271,6 @@ def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:
         raise ValueError("prefix length must satisfy 1 <= m <= n")
     g, spec = counterexample.build_truncation(n)
     solutions = enumerate_majority_colorings(g, 2, fixed={spec.anchor: 0})
-    return {
-        TruthView(spec.anchor, c).truths(spec.path[:m]) for c in solutions
-    }
+    prefix = spec.path[:m]
+    # With the anchor at color 0, a vertex is true exactly when it has color 0.
+    return {tuple(c.colors[v] == 0 for v in prefix) for c in solutions}

@@ -23,7 +23,7 @@ import math
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import OutOfRangeError, SelfLoopError, TooLarge
+from .errors import TooLarge
 from .graph import Coloring, VertexId
 from .majority import DeficiencyReport
 
@@ -47,7 +47,7 @@ class WeightedMultigraph:
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
-            raise OutOfRangeError(
+            raise ValueError(
                 f"vertex {v} out of range (vertex_count {len(self._adj)})"
             )
 
@@ -56,7 +56,7 @@ class WeightedMultigraph:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
-            raise SelfLoopError(f"self-loop ({u}, {u}) rejected")
+            raise ValueError(f"self-loop ({u}, {u}) rejected")
         if weight < 1:
             raise ValueError("edge weight must be a positive integer")
         self._adj[u][v] = self._adj[u].get(v, 0) + weight

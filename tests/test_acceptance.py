@@ -30,12 +30,10 @@ from majoritylab.counterexample import (
 from majoritylab.gadgets import build_or_chain, is_valid_gadget, verify_or_semantics
 from majoritylab.graph import Coloring, DiGraph, to_text, topological_sort
 from majoritylab.majority import (
-    TruthView,
     brute_force_majority_colorings,
     enumerate_majority_colorings,
     feasible_prefix_set,
     greedy_dag_2color,
-    project,
     verify,
 )
 from majoritylab.multigraph import (
@@ -115,8 +113,8 @@ def test_criterion_5_enumeration_oracle_equivalence():
     path_and_anchor = list(spec3.path) + [spec3.anchor]
     with_rule = extension_rule_colorings(g3, spec3)
     full = brute_force_majority_colorings(g3, 2)
-    assert {project(c, path_and_anchor) for c in with_rule} == {
-        project(c, path_and_anchor) for c in full
+    assert {tuple(c.colors[v] for v in path_and_anchor) for c in with_rule} == {
+        tuple(c.colors[v] for v in path_and_anchor) for c in full
     }
     assert [c.colors for c in enumerate_majority_colorings(g3, 2)] == [
         c.colors for c in full
@@ -176,7 +174,11 @@ def _reachable(g, start):
 
 
 def _prefix_truths(spec, colorings):
-    return {TruthView(spec.anchor, c).truths(spec.path[:3]) for c in colorings}
+    # A path vertex is true when it shares the anchor's color.
+    return {
+        tuple(c.colors[v] == c.colors[spec.anchor] for v in spec.path[:3])
+        for c in colorings
+    }
 
 
 def _witness(n, path_truths):

@@ -159,6 +159,14 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == f"error: chained OR needs at least 2 inputs, got {k}\n"
 
+    def test_number_too_long_to_parse(self, tmp_path):
+        f = tmp_path / "long.json"
+        digits = "0" * sys.get_int_max_str_digits()
+        f.write_text(f'{{"vertex_count": 1{digits}, "edges": []}}', encoding="utf-8")
+        assert run(["graph", "convert", str(f), "--to", "dot"]) == (
+            2, "", "error: number too long to parse\n"
+        )
+
     def test_out_of_memory_is_a_usage_error(self):
         # G_115 is inside MAX_VERTICES but far past 40 MB, so building it
         # runs out of memory within a second.
@@ -404,6 +412,7 @@ class TestLineRecords:
             ("multigraph", "# c\n\n0 1 2 3\n", "line 3: expected 'u v w'"),
             ("multigraph", "0 1 x\n", "line 1: expected three integers"),
             ("multigraph", "\n0 1 1\n#\n0 2 1e3\n", "line 4: expected three integers"),
+            ("multigraph", "0 1 1\n2 2 1\n", "line 2: self-loop (2, 2) rejected"),
         ],
     )
     def test_bad_record_names_its_line(self, path_graph_file, tmp_path, kind, text, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,18 @@ class TestSigma:
         result = verify_sigma(g, spec, sigma_label(g, spec))
         assert result.ok
         assert result.first_violation is None
+
+    def test_check_streams_the_edges(self):
+        # A list of G_30's edges alone would take about 2 MB.
+        g, spec = build_truncation(30)
+        labels = sigma_label(g, spec)
+        tracemalloc.start()
+        try:
+            assert verify_sigma(g, spec, labels).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_swapped_labels_flag_the_path_edge(self):
         g, spec = build_truncation(4)

@@ -17,7 +17,7 @@ from majoritylab.gadgets import (
     verify_or_semantics,
 )
 from majoritylab.graph import DiGraph
-from majoritylab.majority import TruthView, brute_force_majority_colorings
+from majoritylab.majority import brute_force_majority_colorings
 
 
 def fresh_chain(k):
@@ -241,8 +241,9 @@ class TestSemanticsOracle:
         outputs = {pre: [] for pre in itertools.product((False, True), repeat=k)}
         for c in brute_force_majority_colorings(g, 2):
             if c.colors[handle.anchor] == 0:
-                view = TruthView(handle.anchor, c)
-                outputs[view.truths(handle.inputs)].append(view.truth(handle.output))
+                # With the anchor at color 0, a vertex is true iff it has color 0.
+                inputs = tuple(c.colors[u] == 0 for u in handle.inputs)
+                outputs[inputs].append(c.colors[handle.output] == 0)
         expected = [
             (pre, bool(truths), len(truths) == 1,
              truths[0] if len(set(truths)) == 1 else None)

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from helpers import dags, digraphs, extension_rule_colorings, random_dag
 from majoritylab import majority
 from majoritylab.counterexample import build_truncation
-from majoritylab.errors import CycleFound, PaletteMismatch, TooLarge
+from majoritylab.errors import CycleFound, TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import (
     DeficiencyReport,
-    TruthView,
     brute_force_majority_colorings,
     enumerate_majority_colorings,
     feasible_prefix_set,
     greedy_dag_2color,
-    project,
     verify,
 )
 
@@ -50,7 +48,7 @@ class TestVerify:
         assert report.checks[0] == (2, 1, False)
 
     def test_palette_enforced_at_construction(self):
-        with pytest.raises(PaletteMismatch):
+        with pytest.raises(ValueError, match="^vertex 1 has color 2, palette size is 2$"):
             Coloring(2, (0, 2))
 
     def test_length_mismatch(self):
@@ -143,32 +141,6 @@ class TestGreedy:
             assert verify(g, greedy_dag_2color(g)).satisfied
 
 
-class TestTruthView:
-    def test_truth_is_relative_to_anchor(self):
-        view = TruthView(2, Coloring(2, (0, 1, 1)))
-        assert view.truths(range(3)) == (False, True, True)
-
-    def test_requires_two_colors(self):
-        with pytest.raises(ValueError):
-            TruthView(0, Coloring(3, (0, 1, 2)))
-
-    def test_make_and_replace_require_two_colors(self):
-        view = TruthView(0, Coloring(2, (0, 1)))
-        three = Coloring(3, (0, 1, 2))
-        with pytest.raises(ValueError, match="palette size 2"):
-            TruthView._make((0, three))
-        with pytest.raises(ValueError, match="palette size 2"):
-            view._replace(coloring=three)
-        assert view._replace(anchor=1).truths(range(2)) == (False, True)
-
-    def test_read_only(self):
-        view = TruthView(0, Coloring(2, (0, 1)))
-        with pytest.raises(AttributeError):
-            view.anchor = 1
-        with pytest.raises(AttributeError):
-            view.note = "x"
-
-
 class TestEnumerate:
     def test_single_edge_two_colors(self):
         g = DiGraph(2)
@@ -224,7 +196,7 @@ class TestEnumerate:
             assert type(c.colors) is tuple
             assert c == Coloring(k, c.colors)
             assert hash(c) == hash(Coloring(k, c.colors))
-        with pytest.raises(PaletteMismatch):
+        with pytest.raises(ValueError, match="^vertex 1 has color 2, palette size is 2$"):
             Coloring(2, (0, 2))
 
     # Graphs with cycles have no topological order; the search uses id order.
@@ -305,8 +277,8 @@ class TestEnumerate:
         path_and_anchor = list(spec.path) + [spec.anchor]
         with_rule = extension_rule_colorings(g, spec)
         full = brute_force_majority_colorings(g, 2)
-        assert {project(c, path_and_anchor) for c in with_rule} == {
-            project(c, path_and_anchor) for c in full
+        assert {tuple(c.colors[v] for v in path_and_anchor) for c in with_rule} == {
+            tuple(c.colors[v] for v in path_and_anchor) for c in full
         }
         # The rule reproduces entire colorings, not just projections.
         assert {c.colors for c in with_rule} == {c.colors for c in full}
@@ -363,8 +335,9 @@ class TestFeasiblePrefixSet:
         # same truth patterns as the unpinned full enumeration.
         for n in (2, 3):
             g, spec = build_truncation(n)
+            # A vertex is true when it shares the anchor's color.
             unpinned = {
-                TruthView(spec.anchor, c).truths(spec.path)
+                tuple(c.colors[v] == c.colors[spec.anchor] for v in spec.path)
                 for c in brute_force_majority_colorings(g, 2)
             }
             assert feasible_prefix_set(n, n) == unpinned

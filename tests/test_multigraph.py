@@ -13,7 +13,7 @@ from helpers import (
     seeded_multigraph,
 )
 from majoritylab import multigraph
-from majoritylab.errors import SelfLoopError, TooLarge
+from majoritylab.errors import TooLarge
 from majoritylab.graph import Coloring, DiGraph
 from majoritylab.majority import verify
 from majoritylab.multigraph import (
@@ -44,7 +44,7 @@ class TestMultigraph:
 
     def test_self_loop_rejected(self):
         mg = WeightedMultigraph(1)
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(ValueError, match=r"^self-loop \(0, 0\) rejected$"):
             mg.add_edge(0, 0)
 
     def test_weight_positive(self):

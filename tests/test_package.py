@@ -4,6 +4,8 @@
 how the package loads its names cannot drop or add one unnoticed.
 """
 
+import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -16,20 +18,19 @@ import majoritylab
 
 PUBLIC = [
     "Coloring", "CycleFound", "DeficiencyReport", "DiGraph",
-    "DuplicateEdgeError", "GadgetHandle", "GadgetStage", "LocalSearchResult",
-    "MAX_VERTICES", "MajorityLabError", "OutOfRangeError", "PaletteMismatch",
-    "ParseError",
-    "PrecoloringOutcome", "SelfLoopError", "SemanticsReport",
+    "GadgetHandle", "GadgetStage", "LocalSearchResult",
+    "MAX_VERTICES", "MajorityLabError", "ParseError",
+    "PrecoloringOutcome", "SemanticsReport",
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
     "SweepEntry", "SweepFailure", "SweepReport", "TooLarge", "TripletLabel",
-    "TruncationSpec", "TruthView", "VertexCheck", "VertexId",
+    "TruncationSpec", "VertexCheck", "VertexId",
     "WeightedMultigraph", "brute_force_majority_colorings", "build_or2",
     "build_or_chain", "build_truncation", "check_symbolic", "counterexample",
     "enumerate_majority_colorings", "errors", "feasible_prefix_set",
     "forced_extension", "from_dot", "from_text", "from_text_with_names",
     "gadgets", "graph", "greedy_dag_2color", "has_majority_k_coloring",
     "infinite", "is_valid_gadget", "local_search_2color", "majority",
-    "multigraph", "out_profile", "project", "search_non_k_colorable",
+    "multigraph", "out_profile", "search_non_k_colorable",
     "sigma_label", "stage_names", "theorem_sweep", "to_dot", "to_text",
     "topological_sort", "truncation_extension", "truncation_names", "verify",
     "verify_or_semantics", "verify_sigma", "verify_weighted",
@@ -47,7 +48,7 @@ NO_MODULE_ATTR = {
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 67
+        assert len(PUBLIC) == 61
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 
@@ -81,6 +82,26 @@ class TestPublicSurface:
             and value is not base and value.__module__ == errors.__name__
         }
         assert defined == set(majoritylab._EXPORTS["errors"]) - {"MajorityLabError"}
+        # A bad argument raises ValueError; each class left carries its own fact.
+        assert defined == {"CycleFound", "ParseError", "SweepFailure", "TooLarge"}
+
+    def test_no_other_module_defines_an_exception(self):
+        # Any class deriving from a builtin exception or a package error,
+        # at any depth of a module other than errors.py, fails this scan.
+        errors = importlib.import_module("majoritylab.errors")
+        found = []
+        for path in sorted((SRC / "majoritylab").glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for base in node.bases:
+                    name = ast.unparse(base).rpartition(".")[2]
+                    value = getattr(builtins, name, None) or getattr(errors, name, None)
+                    if isinstance(value, type) and issubclass(value, BaseException):
+                        found.append(f"{path.name}: {node.name}")
+        assert found == []
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
