@@ -166,8 +166,11 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
 def _cmd_majority_prefix(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise ParseError("--m must be at least 1")
+    depths = range(max(2, args.m), args.max_n + 1)
+    if depths:  # refuse the largest truncation before hours of smaller ones
+        cx.check_truncation_size(depths[-1])
     print("n,m,count,patterns")
-    for n in range(max(2, args.m), args.max_n + 1):
+    for n in depths:
         patterns = sorted(majority.feasible_prefix_set(n, args.m))
         rendered = "|".join(_pattern_text(p) for p in patterns)
         print(f"{n},{args.m},{len(patterns)},{rendered}")
@@ -207,16 +210,14 @@ def _cmd_gadget_dot(args: argparse.Namespace) -> int:
 def _cmd_counterexample_build(args: argparse.Namespace) -> int:
     g, spec = cx.build_truncation(args.n)
     names = cx.truncation_names(spec)
-    text = graph.to_text(g, names)
-    wrote = False
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        wrote = True
-    if args.dot:
-        Path(args.dot).write_text(graph.to_dot(g, names), encoding="utf-8")
-        wrote = True
-    if not wrote:
-        sys.stdout.write(text)
+    # Each file gets its lines as they are made: G_115's whole text would
+    # not fit next to the graph in 400 MB.
+    for path, lines in ((args.out, graph.text_lines), (args.dot, graph.dot_lines)):
+        if path:
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(lines(g, names))
+    if not (args.out or args.dot):
+        sys.stdout.write(graph.to_text(g, names))
     return 0
 
 

@@ -45,13 +45,18 @@ class SigmaCheckResult(NamedTuple):
     first_violation: tuple[VertexId, VertexId] | None
 
 
+def check_truncation_size(n: int) -> None:
+    """Raise ``TooLarge`` if G_n, for n >= 2, would pass ``MAX_VERTICES``."""
+    size = n + 1 + 4 * math.comb(n, 3)
+    if size > MAX_VERTICES:
+        raise TooLarge(f"G_{n} would have {size} vertices, past the cap {MAX_VERTICES}")
+
+
 def build_truncation(n: int) -> tuple[DiGraph, TruncationSpec]:
     """Build G_n for n >= 2; it has n + 1 + 4 C(n, 3) vertices."""
     if n < 2:
         raise ValueError("truncation depth must be at least 2")
-    size = n + 1 + 4 * math.comb(n, 3)
-    if size > MAX_VERTICES:
-        raise TooLarge(f"G_{n} would have {size} vertices, past the cap {MAX_VERTICES}")
+    check_truncation_size(n)
     g = DiGraph(n + 1)  # path ids 0..n-1, anchor id n
     anchor = n
     for m in range(n - 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleFound, ParseError
@@ -132,9 +133,10 @@ class Coloring(_ColoringFields):
 
     ``Coloring(k, colors)`` checks every color against the palette, and so
     do ``_make`` and ``_replace``.  The private :meth:`_trusted` skips that
-    check; only the search engine and the brute-force oracle in
-    :mod:`majority` call it, on tuples they build from
-    ``range(palette_size)`` or from pins they have already checked.
+    check and builds a whole solution list in one call; only the search
+    engine and the brute-force oracle in :mod:`majority` call it, on
+    tuples they build from ``range(palette_size)`` or from pins they have
+    already checked.
     """
 
     __slots__ = ()
@@ -159,9 +161,11 @@ class Coloring(_ColoringFields):
         return cls(*fields)
 
     @classmethod
-    def _trusted(cls, palette_size: int, colors: tuple[int, ...]) -> "Coloring":
-        """A coloring of a tuple already known to lie in the palette."""
-        return tuple.__new__(cls, (palette_size, colors))
+    def _trusted(
+        cls, palette_size: int, rows: Iterable[tuple[int, ...]]
+    ) -> list["Coloring"]:
+        """One coloring per tuple of ``rows``, each known to lie in the palette."""
+        return list(map(tuple.__new__, repeat(cls), zip(repeat(palette_size), rows)))
 
 
 def topological_sort(g: DiGraph) -> list[VertexId]:
@@ -203,33 +207,38 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
 # UTF-8, "\n" newlines, sorted keys: output is byte-deterministic.
 
 
-def to_text(g: DiGraph, names: dict[int, str] | None = None) -> str:
-    """The canonical graph text: sorted keys, one sorted edge per line.
+def text_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]:
+    """The canonical graph text, one piece per line, for writing as made.
 
-    Edges are emitted source by source with each out-list sorted, which is
-    the lexicographic order without a global sort of edge tuples.
+    Sorted keys, one sorted edge per line.  Edges are emitted source by
+    source with each out-list sorted, which is the lexicographic order
+    without a global sort of edge tuples.  Each piece opens with the end
+    of the line before it, so the last edge and the last name drop their
+    commas without a lookahead.
     """
     # Hand-rolled emission so each edge occupies one line (diff-friendly);
     # the output is ordinary JSON.
-    lines = ["{", '  "edges": [']
+    yield '{\n  "edges": ['
+    sep = "\n"
     for u, targets in enumerate(g._out):
         for v in sorted(targets):
-            lines.append(f"    [{u}, {v}],")
-    if len(lines) > 2:
-        lines[-1] = lines[-1][:-1]
+            yield f"{sep}    [{u}, {v}]"
+            sep = ",\n"
     if names:
-        lines.append("  ],")
-        lines.append('  "names": {')
-        items = sorted(names)
-        for idx, v in enumerate(items):
-            comma = "," if idx < len(items) - 1 else ""
-            lines.append(f'    "{v}": {json.dumps(names[v])}{comma}')
-        lines.append("  },")
+        yield '\n  ],\n  "names": {'
+        sep = "\n"
+        for v in sorted(names):
+            yield f'{sep}    "{v}": {json.dumps(names[v])}'
+            sep = ",\n"
+        yield "\n  },"
     else:
-        lines.append("  ],")
-    lines.append(f'  "vertex_count": {g.vertex_count}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "\n  ],"
+    yield f'\n  "vertex_count": {g.vertex_count}\n}}\n'
+
+
+def to_text(g: DiGraph, names: dict[int, str] | None = None) -> str:
+    """The canonical graph text (:func:`text_lines`) as one string."""
+    return "".join(text_lines(g, names))
 
 
 def from_text(text: str) -> DiGraph:
@@ -356,18 +365,22 @@ def _dot_unescape(label: str) -> str:
     return _DOT_ESCAPE_RE.sub(lambda m: _DOT_UNESCAPED[m.group(1)], label)
 
 
-def to_dot(g: DiGraph, names: dict[int, str] | None = None) -> str:
-    """DOT rendering: one line per vertex, then one line per edge."""
-    lines = ["digraph {"]
+def dot_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]:
+    """DOT rendering, one line at a time: each vertex, then each edge."""
+    yield "digraph {\n"
     for v in range(g.vertex_count):
         if names and v in names:
-            lines.append(f'  {v} [label="{_dot_escape(names[v])}"];')
+            yield f'  {v} [label="{_dot_escape(names[v])}"];\n'
         else:
-            lines.append(f"  {v};")
+            yield f"  {v};\n"
     for u, v in g.sorted_edges():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {u} -> {v};\n"
+    yield "}\n"
+
+
+def to_dot(g: DiGraph, names: dict[int, str] | None = None) -> str:
+    """DOT rendering (:func:`dot_lines`) as one string."""
+    return "".join(dot_lines(g, names))
 
 
 def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:

@@ -3,8 +3,10 @@
 A coloring is a majority coloring when every vertex has at least as many
 bichromatic out-edges as monochromatic ones.  Every unweighted check in
 the package counts those edges with one predicate, :func:`monochromatic`,
-and both verifiers (this module's and the weighted multigraph one) return
-the same :class:`DeficiencyReport`.  This module provides the
+except the search engine, which counts inline in its hot loop and is
+cross-checked against the brute-force oracle.  Both verifiers (this
+module's and the weighted multigraph one) return the same
+:class:`DeficiencyReport`.  This module provides the
 verifier (the ground truth every other routine is checked against), the
 folklore greedy 2-coloring of finite DAGs in reverse topological order,
 an iterative backtracking enumerator of all majority k-colorings that
@@ -177,8 +179,14 @@ def enumerate_majority_colorings(
         checks = checks_at[depth]
         for c in tries[depth]:
             colors[v] = c
+            # monochromatic() inlined: this loop is the engine's hot path.
             for w, targets, half in checks:
-                if monochromatic(colors, w, targets) > half:
+                cw = colors[w]
+                mono = 0
+                for u in targets:
+                    if colors[u] == cw:
+                        mono += 1
+                if mono > half:
                     break
             else:
                 if depth < deepest:
@@ -194,8 +202,7 @@ def enumerate_majority_colorings(
         else:
             depth -= 1
     found.sort()
-    trusted = Coloring._trusted
-    return [trusted(palette_size, row) for row in found]
+    return Coloring._trusted(palette_size, found)
 
 
 def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Coloring]:
@@ -246,14 +253,13 @@ def brute_force_majority_colorings(g: DiGraph, palette_size: int) -> list[Colori
     bits = bin(ok)[:1:-1]
     heads = list(itertools.product(range(k), repeat=n // 2))
     tails = list(itertools.product(range(k), repeat=n - n // 2))
-    trusted = Coloring._trusted
     found = []
     a = bits.find("1")
     while a >= 0:
         h, t = divmod(a, len(tails))
-        found.append(trusted(k, heads[h] + tails[t]))
+        found.append(heads[h] + tails[t])
         a = bits.find("1", a + 1)
-    return found
+    return Coloring._trusted(k, found)
 
 
 def feasible_prefix_set(n: int, m: int) -> set[tuple[bool, ...]]:

@@ -175,6 +175,17 @@ class TestUsage:
         assert proc.stdout == ""
         assert proc.stderr == "error: out of memory\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_largest_truncation_is_written_within_400_mb(self, tmp_path, flag):
+        # G_115 and its names take about 280 MB; its text is written line by
+        # line, since the whole document would not fit beside them.
+        f = tmp_path / "g115"
+        proc = run_limited(["counterexample", "build", "--n", "115", flag, str(f)], 400)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        with open(f, "rb") as written:
+            written.seek(-2, os.SEEK_END)
+            assert written.read() == b"}\n"
+
 
 class TestMajorityCommands:
     def test_verify_pass(self, path_graph_file, tmp_path):
@@ -269,6 +280,19 @@ class TestMajorityCommands:
         )
         assert code == 2
         assert "--free vertex 5 out of range" in err
+
+    @pytest.mark.parametrize("max_n", [116, 10**9])
+    def test_prefix_experiment_refuses_an_over_cap_depth_first(self, monkeypatch, max_n):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a truncation was searched before the refusal")
+
+        monkeypatch.setattr(majority, "feasible_prefix_set", no_search)
+        code, out, err = run(
+            ["majority", "prefix-experiment", "--max-n", str(max_n), "--m", "3"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: G_{max_n} would have ")
+        assert err.endswith(" vertices, past the cap 1000000\n")
 
     def test_prefix_experiment(self):
         code, out, _ = run(["majority", "prefix-experiment", "--max-n", "4", "--m", "2"])

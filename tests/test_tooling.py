@@ -72,6 +72,22 @@ def test_cli_stdout_matches_golden_digest(line):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
+def test_counterexample_build_files_match_stdout(tmp_path):
+    # The files are written line by line, stdout in one piece; both must
+    # carry the bytes the golden digest pins.
+    text, dot = tmp_path / "g.json", tmp_path / "g.dot"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert dispatch(
+            ["counterexample", "build", "--n", "20", "--out", str(text), "--dot", str(dot)]
+        ) == 0
+        assert out.getvalue() == ""
+        assert dispatch(["graph", "convert", str(text), "--to", "dot"]) == 0
+    code, digest = GOLDEN["counterexample build --n 20"]
+    assert code == 0
+    assert hashlib.sha256(text.read_bytes()).hexdigest() == digest
+    assert dot.read_text(encoding="utf-8") == out.getvalue()
+
+
 @pytest.mark.parametrize("target", ["majoritylab", "majoritylab.cli"])
 def test_importing_the_cli_enters_every_wrapped_module(target):
     # A traced run wraps only the modules already in sys.modules, and a
