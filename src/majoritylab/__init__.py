@@ -29,9 +29,8 @@ _EXPORTS = {
         "stage_names", "verify_or_semantics",
     ),
     "graph": (
-        "MAX_VERTICES", "Coloring", "DiGraph", "TripletLabel", "VertexId",
-        "from_dot", "from_text", "from_text_with_names", "to_dot", "to_text",
-        "topological_sort",
+        "MAX_VERTICES", "Coloring", "DiGraph", "VertexId", "from_dot", "from_text",
+        "from_text_with_names", "to_dot", "to_text", "topological_sort",
     ),
     "infinite": (
         "SupportColoring", "SupportMode", "SweepEntry", "SweepReport",

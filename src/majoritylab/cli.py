@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, TextIO
 
 from . import counterexample as cx
 from . import gadgets, graph, infinite, majority, multigraph
@@ -37,6 +38,17 @@ def _pattern_text(pattern: tuple[bool, ...]) -> str:
 
 def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write_lines(stream: TextIO, lines: Iterable[str]) -> None:
+    """Write non-empty ``lines`` to ``stream``, 4096 per write.
+
+    G_115's whole text would not fit beside its graph in 400 MB, and
+    unbuffered stdout makes a system call per write.
+    """
+    lines = iter(lines)
+    while batch := "".join(islice(lines, 4096)):
+        stream.write(batch)
 
 
 def _line_records(text: str, shape: str, count: str) -> Iterator[tuple[int, list[int]]]:
@@ -200,7 +212,7 @@ def _cmd_gadget_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gadget_dot(args: argparse.Namespace) -> int:
     g, _, names = _isolated_chain(args.inputs)
-    sys.stdout.write(graph.to_dot(g, names))
+    _write_lines(sys.stdout, graph.dot_lines(g, names))
     return 0
 
 
@@ -210,14 +222,12 @@ def _cmd_gadget_dot(args: argparse.Namespace) -> int:
 def _cmd_counterexample_build(args: argparse.Namespace) -> int:
     g, spec = cx.build_truncation(args.n)
     names = cx.truncation_names(spec)
-    # Each file gets its lines as they are made: G_115's whole text would
-    # not fit next to the graph in 400 MB.
     for path, lines in ((args.out, graph.text_lines), (args.dot, graph.dot_lines)):
         if path:
             with open(path, "w", encoding="utf-8") as f:
-                f.writelines(lines(g, names))
+                _write_lines(f, lines(g, names))
     if not (args.out or args.dot):
-        sys.stdout.write(graph.to_text(g, names))
+        _write_lines(sys.stdout, graph.text_lines(g, names))
     return 0
 
 
@@ -267,7 +277,7 @@ def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
     except SweepFailure as e:
         print(f"feasible description found: {e.description}", file=sys.stderr)
         return 1
-    for line in report.note.split(".  "):
+    for line in infinite.COVERAGE_NOTE.split(".  "):
         print(f"# {line.strip().rstrip('.')}.")
     print("mode,support,witness")
     for entry in report.entries:
@@ -309,10 +319,8 @@ def _cmd_graph_convert(args: argparse.Namespace) -> int:
         g, names = graph.from_dot(text)
     else:
         g, names = graph.from_text_with_names(text)
-    if args.to == "dot":
-        sys.stdout.write(graph.to_dot(g, names))
-    else:
-        sys.stdout.write(graph.to_text(g, names))
+    lines = graph.dot_lines if args.to == "dot" else graph.text_lines
+    _write_lines(sys.stdout, lines(g, names))
     return 0
 
 

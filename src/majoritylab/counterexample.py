@@ -20,9 +20,9 @@ from typing import Mapping, NamedTuple
 
 from .errors import TooLarge
 from .gadgets import GadgetHandle, build_or_chain, forced_extension, stage_names
-from .graph import MAX_VERTICES, DiGraph, TripletLabel, VertexId
+from .graph import MAX_VERTICES, DiGraph, VertexId
 
-SigmaLabeling = dict[VertexId, TripletLabel]
+SigmaLabeling = dict[VertexId, tuple[int, int, int]]
 
 
 class TruncationSpec(NamedTuple):
@@ -97,7 +97,7 @@ def truncation_extension(g: DiGraph, spec: TruncationSpec):
 
 
 def sigma_label(g: DiGraph, spec: TruncationSpec) -> SigmaLabeling:
-    """The triplet labeling certifying acyclicity.
+    """The triplet labeling certifying acyclicity, in tuple (lexicographic) order.
 
     Path vertex v_i gets (i, 0, 0); an internal vertex w of the (i, j)
     gadget gets (i-1, j, p) where p is w's position in the stage order
@@ -107,10 +107,10 @@ def sigma_label(g: DiGraph, spec: TruncationSpec) -> SigmaLabeling:
     """
     labels: SigmaLabeling = {}
     for i in range(1, spec.n + 1):
-        labels[spec.path_vertex(i)] = TripletLabel(i, 0, 0)
+        labels[spec.path_vertex(i)] = (i, 0, 0)
     for (i, j), handle in spec.gadget_registry.items():
         for p, w in enumerate(handle.internal_order):
-            labels[w] = TripletLabel(i - 1, j, p)
+            labels[w] = (i - 1, j, p)
     return labels
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections import Counter
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,14 +28,6 @@ VertexId = int
 #: graph this size take about 64 MB.  Edge memory needs no cap: it grows
 #: with the size of the file itself.
 MAX_VERTICES = 1_000_000
-
-
-class TripletLabel(NamedTuple):
-    """A label in N^3; tuple comparison gives the strict lexicographic order."""
-
-    i: int
-    j: int
-    k: int
 
 
 class DiGraph:
@@ -245,27 +238,63 @@ def from_text(text: str) -> DiGraph:
     return from_text_with_names(text)[0]
 
 
-def _is_int(x: object) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     # json.loads would otherwise keep the last of two equal keys silently.
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise ParseError(f"repeated key {repeated!r}")
     return doc
+
+
+def _load_edges(n: int, pairs: list, where: str) -> DiGraph:
+    """The graph on ``n`` vertices with each ``[u, v]`` pair checked and added.
+
+    The first bad pair raises ``ParseError``, named by ``where`` formatted
+    with its ``idx`` and ``pair``.
+    """
+    g = DiGraph(n)
+    out = g._out
+    # Duplicates are looked for in a short out-list, and in a set of its
+    # targets from 32 on, so a star of any size loads in linear time.
+    long_targets: dict[int, set[int]] = {}
+    for idx, pair in enumerate(pairs):
+        # `type(...) is int` also rejects true/false, which JSON loads as bool.
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
+        ):
+            raise ParseError(
+                f"{where.format(idx=idx, pair=pair)}: expected an [u, v] integer pair"
+            )
+        u, v = pair
+        if 0 <= u < n and 0 <= v < n and u != v:
+            targets = out[u]
+            if len(targets) < 32:
+                if v not in targets:
+                    targets.append(v)
+                    continue
+            else:
+                seen = long_targets.get(u) or long_targets.setdefault(u, set(targets))
+                if v not in seen:
+                    seen.add(v)
+                    targets.append(v)
+                    continue
+        # A bad edge goes through add_edge only for its exact error text.
+        try:
+            g.add_edge(u, v)
+        except ValueError as e:
+            raise ParseError(f"{where.format(idx=idx, pair=pair)}: {e}") from e
+    return g
 
 
 def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     """Parse graph text into a graph and its optional name map.
 
-    Every malformed document raises ``ParseError``; an edge is checked for
-    shape, integer ids, range, self-loop and duplication in one pass over
-    ``edges``, straight into the adjacency lists.
+    Every malformed document raises ``ParseError``.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -283,7 +312,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     if "vertex_count" not in doc or "edges" not in doc:
         raise ParseError("fields 'vertex_count' and 'edges' are required")
     vertex_count = doc["vertex_count"]
-    if not _is_int(vertex_count) or vertex_count < 0:
+    if type(vertex_count) is not int or vertex_count < 0:  # also rejects true/false
         raise ParseError("field 'vertex_count': expected a non-negative integer")
     if vertex_count > MAX_VERTICES:
         raise ParseError(
@@ -291,32 +320,7 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
         )
     if not isinstance(doc["edges"], list):
         raise ParseError("field 'edges': expected a list of [u, v] pairs")
-    g = DiGraph(vertex_count)
-    out = g._out
-    for idx, pair in enumerate(doc["edges"]):
-        # json.loads makes exact lists and ints; `type(...) is int` also
-        # keeps rejecting true/false, which load as bool.
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) is not int
-            or type(pair[1]) is not int
-        ):
-            raise ParseError(f"edges[{idx}]: expected an [u, v] integer pair")
-        u, v = pair
-        if (
-            0 <= u < vertex_count
-            and 0 <= v < vertex_count
-            and u != v
-            and v not in out[u]
-        ):
-            out[u].append(v)
-            continue
-        # A bad edge goes through add_edge only for its exact error text.
-        try:
-            g.add_edge(u, v)
-        except ValueError as e:
-            raise ParseError(f"edges[{idx}]: {e}") from e
+    g = _load_edges(vertex_count, doc["edges"], "edges[{idx}]")
     names: dict[int, str] | None = None
     if "names" in doc:
         raw = doc["names"]
@@ -394,7 +398,7 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
         raise ParseError("expected a 'digraph { ... }' document")
     vertices: list[int] = []
     names: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
+    edges: list[list[int]] = []
     for lineno, line in enumerate(body[1:-1], 2):
         node = _DOT_NODE_RE.match(line)
         edge = None if node else _DOT_EDGE_RE.match(line)
@@ -407,15 +411,10 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
                 if node.group(2) is not None:
                     names[vid] = _dot_unescape(node.group(2))
             else:
-                edges.append((int(edge.group(1)), int(edge.group(2))))
+                edges.append([int(edge.group(1)), int(edge.group(2))])
         except ValueError:
             raise ParseError(f"line {lineno}: number too long to parse") from None
     if sorted(vertices) != list(range(len(vertices))):
         raise ParseError("vertex statements must cover ids 0..V-1 exactly once")
-    g = DiGraph(len(vertices))
-    for idx, (u, v) in enumerate(edges):
-        try:
-            g.add_edge(u, v)
-        except ValueError as e:
-            raise ParseError(f"edge {idx} ({u} -> {v}): {e}") from e
+    g = _load_edges(len(vertices), edges, "edge {idx} ({pair[0]} -> {pair[1]})")
     return g, names or None

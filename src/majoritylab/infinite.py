@@ -145,10 +145,7 @@ class SweepEntry(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    max_support_size: int
-    max_position: int
     entries: tuple[SweepEntry, ...]
-    note: str
 
 
 def theorem_sweep(max_support_size: int, max_position: int) -> SweepReport:
@@ -182,4 +179,4 @@ def theorem_sweep(max_support_size: int, max_position: int) -> SweepReport:
                 if witness is None:
                     raise SweepFailure(d)
                 entries.append(SweepEntry(d, witness))
-    return SweepReport(max_support_size, max_position, tuple(entries), COVERAGE_NOTE)
+    return SweepReport(tuple(entries))

@@ -4,10 +4,10 @@ Parallel edges are represented by weights: adding an edge over an
 existing pair merges by summing, which subsumes multiplicity.  The
 majority condition compares, per vertex, the summed weight of
 bichromatic incident edges against the monochromatic ones.  One helper
-computes that ``(mono, diff)`` weight pair; the verifier, the local
-search and the k-coloring probe all go through it, and the verifier
-returns the same :class:`~majoritylab.majority.DeficiencyReport` as the
-digraph verifier (unit weights give the unweighted counts).
+computes that ``(mono, diff)`` weight pair for the verifier and the
+k-coloring probe (the local search starts all-zero: all ``mono``); the
+verifier returns the same :class:`~majoritylab.majority.DeficiencyReport`
+as the digraph verifier (unit weights give the unweighted counts).
 
 Finite instances are always majority 2-colorable: flipping any violated
 vertex strictly increases the total cut weight, so the local search
@@ -141,10 +141,7 @@ def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
     n = mg.vertex_count
     colors = [0] * n
     incident = [mg.incident(v) for v in range(n)]
-    balance = []
-    for v in range(n):
-        mono, diff = _mono_diff(mg, colors, v)
-        balance.append(diff - mono)
+    balance = [-sum(map(itemgetter(1), inc)) for inc in incident]
     violated = [v for v in range(n) if balance[v] < 0]  # sorted, so a heap
     flips = 0
     while violated:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from majoritylab.counterexample import truncation_extension
 from majoritylab.errors import CycleFound
-from majoritylab.graph import Coloring, DiGraph, TripletLabel, topological_sort
+from majoritylab.graph import Coloring, DiGraph, topological_sort
 from majoritylab.majority import verify
 from majoritylab.multigraph import WeightedMultigraph, _weight_vectors
 
@@ -185,12 +185,12 @@ def gadget_internal_sort(g: DiGraph, handle) -> list[int]:
     return [internal[local_id] for local_id in topological_sort(sub)]
 
 
-def sorted_sigma_label(g: DiGraph, spec) -> dict[int, TripletLabel]:
+def sorted_sigma_label(g: DiGraph, spec) -> dict[int, tuple[int, int, int]]:
     """Oracle: the σ-labeling with each gadget's positions from its own sort."""
-    labels = {spec.path_vertex(i): TripletLabel(i, 0, 0) for i in range(1, spec.n + 1)}
+    labels = {spec.path_vertex(i): (i, 0, 0) for i in range(1, spec.n + 1)}
     for (i, j), handle in spec.gadget_registry.items():
         for p, w in enumerate(gadget_internal_sort(g, handle)):
-            labels[w] = TripletLabel(i - 1, j, p)
+            labels[w] = (i - 1, j, p)
     return labels
 
 

@@ -43,7 +43,7 @@ def path_graph_file(tmp_path):
 ENUMERATE = "majority enumerate FILE --colors 2"
 
 
-def run_limited(argv, limit_mb):
+def run_limited(argv, limit_mb, stdout=subprocess.PIPE):
     """Run the CLI in a child process under an address-space limit.
 
     Out of process, so an uncaught exception shows as exit 1 (the
@@ -54,7 +54,8 @@ def run_limited(argv, limit_mb):
     limit = limit_mb * 2**20
     return subprocess.run(
         [sys.executable, "-m", "majoritylab", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -175,13 +176,21 @@ class TestUsage:
         assert proc.stdout == ""
         assert proc.stderr == "error: out of memory\n"
 
-    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    @pytest.mark.parametrize(
+        "flag", ["--out", "--dot", None], ids=["--out", "--dot", "stdout"]
+    )
     def test_largest_truncation_is_written_within_400_mb(self, tmp_path, flag):
-        # G_115 and its names take about 280 MB; its text is written line by
-        # line, since the whole document would not fit beside them.
+        # G_115 and its names take about 280 MB; its text is written in
+        # batches of lines, since the whole document would not fit beside them.
         f = tmp_path / "g115"
-        proc = run_limited(["counterexample", "build", "--n", "115", flag, str(f)], 400)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        argv = ["counterexample", "build", "--n", "115"]
+        if flag:
+            proc = run_limited([*argv, flag, str(f)], 400)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        else:
+            with open(f, "w", encoding="utf-8") as out:
+                proc = run_limited(argv, 400, stdout=out)
+            assert (proc.returncode, proc.stderr) == (0, "")
         with open(f, "rb") as written:
             written.seek(-2, os.SEEK_END)
             assert written.read() == b"}\n"

@@ -13,7 +13,7 @@ from majoritylab.counterexample import (
 )
 from majoritylab.errors import TooLarge
 from majoritylab.gadgets import is_valid_gadget
-from majoritylab.graph import TripletLabel, to_text, topological_sort
+from majoritylab.graph import to_text, topological_sort
 from majoritylab.majority import greedy_dag_2color, verify
 
 
@@ -127,18 +127,17 @@ class TestSigma:
     def test_path_labels(self):
         g, spec = build_truncation(4)
         labels = sigma_label(g, spec)
-        assert labels[spec.path_vertex(2)] == TripletLabel(2, 0, 0)
-        assert labels[spec.path_vertex(4)] == TripletLabel(4, 0, 0)
+        assert labels[spec.path_vertex(2)] == (2, 0, 0)
+        assert labels[spec.path_vertex(4)] == (4, 0, 0)
 
     def test_gadget_prefix_and_output(self):
         g, spec = build_truncation(5)
         labels = sigma_label(g, spec)
         handle = spec.gadget_registry[(3, 5)]
-        label = labels[handle.output]
-        assert (label.i, label.j) == (2, 5)
-        # The output is the earliest internal vertex in the gadget's own
-        # topological sort: everything else is reachable from it.
-        assert label.k == 0
+        # Prefix (i - 1, j) = (2, 5); the output is the earliest internal
+        # vertex in the gadget's own topological sort: everything else is
+        # reachable from it.
+        assert labels[handle.output] == (2, 5, 0)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_labels_match_per_gadget_sort(self, n):

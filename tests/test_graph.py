@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,6 @@ from majoritylab.errors import CycleFound, ParseError
 from majoritylab.graph import (
     Coloring,
     DiGraph,
-    TripletLabel,
     from_dot,
     from_text,
     from_text_with_names,
@@ -238,11 +238,24 @@ class TestSerialization:
             ('{"vertex_count": 2, "edges": [], "names": {"1": "a", "1": "b"}}', "'1'"),
             ('{"vertex_count": 3, "edges": [[0, 1]], "edges": [], "vertex_count": 2}',
              "'vertex_count'"),
+            # The first key in document order that repeats, not the first repeat.
+            ('{"vertex_count": 2, "edges": [], "names": {"0": "a", "1": "b", "1": "c", '
+             '"0": "d"}}', "'0'"),
         ],
     )
     def test_repeated_key_rejected(self, text, key):
         with pytest.raises(ParseError, match=f"repeated key {key}"):
             from_text_with_names(text)
+
+    def test_repeated_key_among_many_fails_fast(self):
+        # The repeat comes last, so a count per key would scan 200 000 keys
+        # for each one.
+        names = "".join(f'"{v}": "v", ' for v in range(200_000))
+        text = f'{{"vertex_count": 200000, "edges": [], "names": {{{names}"199999": "w"}}}}'
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="^repeated key '199999'$"):
+            from_text_with_names(text)
+        assert time.perf_counter() - start < 1
 
     @given(st.data())
     def test_names_round_trip_any(self, data):
@@ -393,9 +406,40 @@ class TestColoring:
         assert str(exc.value) == f"vertex {v} has color {c}, palette size is {k}"
 
 
-class TestTripletLabel:
-    def test_lexicographic(self):
-        assert TripletLabel(1, 0, 0) < TripletLabel(2, 0, 0)
-        assert TripletLabel(1, 2, 3) < TripletLabel(1, 2, 4)
-        assert TripletLabel(1, 2, 3) < TripletLabel(1, 3, 0)
-        assert not TripletLabel(2, 0, 0) < TripletLabel(1, 9, 9)
+def _document(fmt, vertex_count, edges):
+    if fmt == "text":
+        return json.dumps({"vertex_count": vertex_count, "edges": edges})
+    statements = [f"  {v};\n" for v in range(vertex_count)]
+    statements += [f"  {u} -> {v};\n" for u, v in edges]
+    return "digraph {\n" + "".join(statements) + "}\n"
+
+
+PARSE = {"text": from_text, "dot": lambda text: from_dot(text)[0]}
+
+
+class TestEdgeLoader:
+    """The one edge loader behind both parsers."""
+
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_star_parses_in_linear_time(self, fmt):
+        # A scan of the out-list per edge took minutes on this star.
+        n = 200_000
+        doc = _document(fmt, n + 1, [[0, v] for v in range(1, n + 1)])
+        start = time.perf_counter()
+        g = PARSE[fmt](doc)
+        assert time.perf_counter() - start < 3
+        assert g.out(0) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("target", [7, 38], ids=["before-set", "after-set"])
+    @pytest.mark.parametrize(
+        "fmt, where", [("text", "edges[40]"), ("dot", "edge 40 (0 -> {})")]
+    )
+    def test_duplicate_in_a_long_out_list(self, fmt, where, target):
+        # Past 32 out-edges duplicates are found in a set; the first bad
+        # edge in file order is still the one named.
+        edges = [[0, v] for v in range(1, 41)] + [[0, target], [3, 3]]
+        with pytest.raises(ParseError) as exc:
+            PARSE[fmt](_document(fmt, 41, edges))
+        assert str(exc.value) == (
+            f"{where.format(target)}: edge (0, {target}) already present"
+        )

@@ -22,7 +22,7 @@ PUBLIC = [
     "MAX_VERTICES", "MajorityLabError", "ParseError",
     "PrecoloringOutcome", "SemanticsReport",
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
-    "SweepEntry", "SweepFailure", "SweepReport", "TooLarge", "TripletLabel",
+    "SweepEntry", "SweepFailure", "SweepReport", "TooLarge",
     "TruncationSpec", "VertexCheck", "VertexId",
     "WeightedMultigraph", "brute_force_majority_colorings", "build_or2",
     "build_or_chain", "build_truncation", "check_symbolic", "counterexample",
@@ -48,7 +48,7 @@ NO_MODULE_ATTR = {
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 61
+        assert len(PUBLIC) == 60
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from majoritylab.cli import dispatch
+from majoritylab.cli import _isolated_chain, dispatch
+from majoritylab.counterexample import build_truncation, truncation_names
+from majoritylab.graph import to_dot, to_text
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
@@ -73,8 +75,8 @@ def test_cli_stdout_matches_golden_digest(line):
 
 
 def test_counterexample_build_files_match_stdout(tmp_path):
-    # The files are written line by line, stdout in one piece; both must
-    # carry the bytes the golden digest pins.
+    # The files that build writes must carry the bytes the golden digest
+    # pins for its stdout.
     text, dot = tmp_path / "g.json", tmp_path / "g.dot"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert dispatch(
@@ -86,6 +88,29 @@ def test_counterexample_build_files_match_stdout(tmp_path):
     assert code == 0
     assert hashlib.sha256(text.read_bytes()).hexdigest() == digest
     assert dot.read_text(encoding="utf-8") == out.getvalue()
+
+
+def _stdout(argv) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert dispatch(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("to, render", [("text", to_text), ("dot", to_dot)])
+def test_graph_convert_writes_the_library_rendering(tmp_path, to, render):
+    # G_16 with its names has more lines than one batch of the CLI's writer.
+    g, spec = build_truncation(16)
+    names = truncation_names(spec)
+    expected = render(g, names)
+    assert expected.count("\n") > 4096
+    f = tmp_path / "g.json"
+    f.write_text(to_text(g, names), encoding="utf-8")
+    assert _stdout(["graph", "convert", str(f), "--to", to]) == expected
+
+
+def test_gadget_dot_writes_the_library_rendering():
+    g, _, names = _isolated_chain(4)
+    assert _stdout(["gadget", "dot", "--inputs", "4"]) == to_dot(g, names)
 
 
 @pytest.mark.parametrize("target", ["majoritylab", "majoritylab.cli"])
