@@ -12,7 +12,11 @@ class MajorityLabError(Exception):
 
 
 class CycleFound(MajorityLabError):
-    """Topological sorting failed; ``vertices`` holds the residual cycle."""
+    """Topological sorting failed.
+
+    ``vertices`` holds every vertex the sort could not place: each cycle
+    and every vertex a cycle reaches.
+    """
 
     def __init__(self, vertices: frozenset[int]):
         self.vertices = vertices

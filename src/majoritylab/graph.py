@@ -2,8 +2,7 @@
 
 Vertices are numbered 0..V-1 and only out-adjacency is stored: every
 algorithm in this package is driven by out-edges.  A graph is mutable
-while a builder assembles it and is treated as read-only afterwards;
-read-only graphs can be shared freely between workers.
+while a builder assembles it and is treated as read-only afterwards.
 
 The module also provides the two-way text serialization (a small JSON
 document, byte-deterministic on output), a DOT emitter for
@@ -29,20 +28,29 @@ VertexId = int
 #: with the size of the file itself.
 MAX_VERTICES = 1_000_000
 
+#: Out-list length from which :meth:`DiGraph.add_edge` looks duplicates up
+#: in a set of the source's targets instead of scanning the list.
+_SCAN_LIMIT = 32
+
 
 class DiGraph:
     """Finite simple digraph: no self-loops, no repeated directed edges.
 
     Anti-parallel pairs (u, v) and (v, u) are two distinct edges and are
-    both allowed.
+    both allowed.  Each out-list is kept in insertion order; once a list
+    holds 32 targets, a set of them, built on first need, is indexed by
+    its source, so :meth:`add_edge` is linear in out-degree.
     """
 
-    __slots__ = ("_out",)
+    __slots__ = ("_out", "_long")
 
     def __init__(self, vertex_count: int = 0) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         self._out: list[list[int]] = [[] for _ in range(vertex_count)]
+        # Source -> set of its targets, for out-lists of _SCAN_LIMIT or
+        # more.  Only add_edge appends to such a list.
+        self._long: dict[int, set[int]] = {}
 
     @property
     def vertex_count(self) -> int:
@@ -79,9 +87,18 @@ class DiGraph:
             self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {u}) rejected")
-        if v in self._out[u]:
-            raise ValueError(f"edge ({u}, {v}) already present")
-        self._out[u].append(v)
+        targets = self._out[u]
+        if len(targets) < _SCAN_LIMIT:
+            if v in targets:
+                raise ValueError(f"edge ({u}, {v}) already present")
+        else:
+            seen = self._long.get(u)
+            if seen is None:
+                seen = self._long[u] = set(targets)
+            if v in seen:
+                raise ValueError(f"edge ({u}, {v}) already present")
+            seen.add(v)
+        targets.append(v)
 
     def out(self, v: VertexId) -> Sequence[VertexId]:
         """Out-neighbors of ``v``.  The returned list must not be mutated."""
@@ -165,7 +182,8 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
     """Kahn's algorithm with a smallest-index tie-break among ready vertices.
 
     Returns an order in which every edge goes from earlier to later.
-    Raises CycleFound with the set of vertices left on a residual cycle.
+    Otherwise raises CycleFound with every vertex the sort could not
+    place: each cycle and every vertex a cycle reaches.
     In-degrees and successors are read straight from the adjacency lists.
     The tie-break is kept for speed: the search engine colors in reverse of
     this order, which a FIFO ready list makes slower on deep truncations.
@@ -256,9 +274,7 @@ def _load_edges(n: int, pairs: list, where: str) -> DiGraph:
     """
     g = DiGraph(n)
     out = g._out
-    # Duplicates are looked for in a short out-list, and in a set of its
-    # targets from 32 on, so a star of any size loads in linear time.
-    long_targets: dict[int, set[int]] = {}
+    limit = _SCAN_LIMIT
     for idx, pair in enumerate(pairs):
         # `type(...) is int` also rejects true/false, which JSON loads as bool.
         if (
@@ -271,19 +287,16 @@ def _load_edges(n: int, pairs: list, where: str) -> DiGraph:
                 f"{where.format(idx=idx, pair=pair)}: expected an [u, v] integer pair"
             )
         u, v = pair
+        # An edge in range, not a self-loop and new to a list of fewer
+        # than _SCAN_LIMIT targets is appended inline.  That append never
+        # touches a longer list, so the set add_edge keeps for such a list
+        # stays in step with it.  add_edge takes every other edge, and
+        # raises for a bad one.
         if 0 <= u < n and 0 <= v < n and u != v:
             targets = out[u]
-            if len(targets) < 32:
-                if v not in targets:
-                    targets.append(v)
-                    continue
-            else:
-                seen = long_targets.get(u) or long_targets.setdefault(u, set(targets))
-                if v not in seen:
-                    seen.add(v)
-                    targets.append(v)
-                    continue
-        # A bad edge goes through add_edge only for its exact error text.
+            if len(targets) < limit and v not in targets:
+                targets.append(v)
+                continue
         try:
             g.add_edge(u, v)
         except ValueError as e:
@@ -347,8 +360,9 @@ def from_text_with_names(text: str) -> tuple[DiGraph, dict[int, str] | None]:
 
 # --- DOT emission -------------------------------------------------------
 
-_DOT_NODE_RE = re.compile(r'^(\d+)(?:\s+\[label="((?:[^"\\]|\\.)*)"\])?;$')
-_DOT_EDGE_RE = re.compile(r"^(\d+) -> (\d+);$")
+# An id is written as dot_lines writes it: ASCII decimal, no leading zero.
+_DOT_NODE_RE = re.compile(r'^(0|[1-9][0-9]*)(?:\s+\[label="((?:[^"\\]|\\.)*)"\])?;$')
+_DOT_EDGE_RE = re.compile(r"^(0|[1-9][0-9]*) -> (0|[1-9][0-9]*);$")
 _DOT_ESCAPE_RE = re.compile(r'\\([\\"nr])')
 _DOT_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
 
@@ -393,25 +407,27 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     Statements are split on "\\n" only: other line-break characters may
     appear raw inside a label.
     """
-    body = [line.strip() for line in text.split("\n") if line.strip()]
+    body = [line for line in map(str.strip, text.split("\n")) if line]
     if not body or body[0] != "digraph {" or body[-1] != "}":
         raise ParseError("expected a 'digraph { ... }' document")
     vertices: list[int] = []
     names: dict[int, str] = {}
     edges: list[list[int]] = []
+    # Edge lines are the majority, so they are tried first; no line
+    # matches both patterns.
     for lineno, line in enumerate(body[1:-1], 2):
-        node = _DOT_NODE_RE.match(line)
-        edge = None if node else _DOT_EDGE_RE.match(line)
-        if not (node or edge):
+        edge = _DOT_EDGE_RE.match(line)
+        node = None if edge else _DOT_NODE_RE.match(line)
+        if not (edge or node):
             raise ParseError(f"line {lineno}: unrecognized statement {line!r}")
         try:  # int() refuses ids past sys.get_int_max_str_digits()
-            if node:
+            if edge:
+                edges.append([int(edge.group(1)), int(edge.group(2))])
+            else:
                 vid = int(node.group(1))
                 vertices.append(vid)
                 if node.group(2) is not None:
                     names[vid] = _dot_unescape(node.group(2))
-            else:
-                edges.append([int(edge.group(1)), int(edge.group(2))])
         except ValueError:
             raise ParseError(f"line {lineno}: number too long to parse") from None
     if sorted(vertices) != list(range(len(vertices))):

@@ -102,7 +102,7 @@ def greedy_dag_2color(g: DiGraph) -> Coloring:
     out-neighbors are already colored; each vertex takes color 0 unless
     that leaves it violated, and color 1 otherwise (the smaller
     monochromatic count, ties going to color 0).  A cyclic graph raises
-    ``CycleFound``, which names the cycle.
+    ``CycleFound``, which names every vertex the sort could not place.
     """
     order = topological_sort(g)
     adjacency = g.adjacency

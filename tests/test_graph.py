@@ -92,6 +92,16 @@ class TestTopologicalSort:
             topological_sort(g)
         assert exc.value.vertices == frozenset({0, 1})
 
+    def test_cycle_reports_what_it_reaches(self):
+        # Vertex 2 lies on no cycle, but the sort cannot place it either.
+        g = DiGraph(3)
+        g.add_edge(0, 1)
+        g.add_edge(1, 0)
+        g.add_edge(1, 2)
+        with pytest.raises(CycleFound) as exc:
+            topological_sort(g)
+        assert exc.value.vertices == frozenset({0, 1, 2})
+
     def test_edgeless_tie_break(self):
         assert topological_sort(DiGraph(3)) == [0, 1, 2]
 
@@ -332,6 +342,12 @@ class TestDot:
             ("0 -> 1;\n  0 -> 1;", "edge 1 (0 -> 1): edge (0, 1) already present"),
             ("0 -- 1;", "line 4: unrecognized statement '0 -- 1;'"),
             ("0 -> -1;", "line 4: unrecognized statement '0 -> -1;'"),
+            # dot_lines writes no other spelling of an id.
+            ("01;", "line 4: unrecognized statement '01;'"),
+            ('01 [label="a"];', "line 4: unrecognized statement '01 [label=\"a\"];'"),
+            ("\u0662;", "line 4: unrecognized statement '\u0662;'"),
+            ("0 -> 01;", "line 4: unrecognized statement '0 -> 01;'"),
+            ("\u0661 -> 0;", "line 4: unrecognized statement '\u0661 -> 0;'"),
             ("1;", "vertex statements must cover ids 0..V-1 exactly once"),
         ],
     )
@@ -407,6 +423,8 @@ class TestColoring:
 
 
 def _document(fmt, vertex_count, edges):
+    if fmt == "add_edge":
+        return vertex_count, edges
     if fmt == "text":
         return json.dumps({"vertex_count": vertex_count, "edges": edges})
     statements = [f"  {v};\n" for v in range(vertex_count)]
@@ -414,13 +432,24 @@ def _document(fmt, vertex_count, edges):
     return "digraph {\n" + "".join(statements) + "}\n"
 
 
-PARSE = {"text": from_text, "dot": lambda text: from_dot(text)[0]}
+def _build(vertex_count, edges):
+    g = DiGraph(vertex_count)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+PARSE = {
+    "text": from_text,
+    "dot": lambda text: from_dot(text)[0],
+    "add_edge": lambda doc: _build(*doc),
+}
 
 
 class TestEdgeLoader:
-    """The one edge loader behind both parsers."""
+    """How edges enter a graph: add_edge, and the loader behind both parsers."""
 
-    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    @pytest.mark.parametrize("fmt", ["text", "dot", "add_edge"])
     def test_star_parses_in_linear_time(self, fmt):
         # A scan of the out-list per edge took minutes on this star.
         n = 200_000
@@ -443,3 +472,44 @@ class TestEdgeLoader:
         assert str(exc.value) == (
             f"{where.format(target)}: edge (0, {target}) already present"
         )
+
+    @pytest.mark.parametrize("target", [7, 38], ids=["before-set", "after-set"])
+    @pytest.mark.parametrize("fmt", ["text", "dot", "add_edge"])
+    def test_add_edge_rejects_a_repeat_in_a_long_out_list(self, fmt, target):
+        # Source 0's set of targets is built when its 33rd edge is added,
+        # by add_edge also for a parsed graph; 7 was listed before, 38 after.
+        g = PARSE[fmt](_document(fmt, 41, [[0, v] for v in range(1, 41)]))
+        with pytest.raises(ValueError) as exc:
+            g.add_edge(0, target)
+        assert str(exc.value) == f"edge (0, {target}) already present"
+        assert g.out(0) == list(range(1, 41))
+
+    @given(st.data())
+    def test_add_edge_matches_a_set_of_pairs(self, data):
+        # Source 0 gets every other vertex once, so its out-list passes 32
+        # targets; the drawn edges repeat targets on either side of that
+        # point and add self-loops and the out-of-range id n.
+        n = 50
+        extra = data.draw(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, n)), max_size=100)
+        )
+        edges = data.draw(st.permutations([(0, v) for v in range(1, n)] + extra))
+        g = DiGraph(n)
+        present = set()
+        expected = [[] for _ in range(n)]
+        for u, v in edges:
+            if v == n:
+                message = f"vertex {n} out of range (vertex_count {n})"
+            elif u == v:
+                message = f"self-loop ({u}, {u}) rejected"
+            elif (u, v) in present:
+                message = f"edge ({u}, {v}) already present"
+            else:
+                present.add((u, v))
+                expected[u].append(v)
+                g.add_edge(u, v)
+                continue
+            with pytest.raises(ValueError) as exc:
+                g.add_edge(u, v)
+            assert str(exc.value) == message
+        assert g.adjacency == expected

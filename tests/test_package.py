@@ -103,6 +103,18 @@ class TestPublicSurface:
                         found.append(f"{path.name}: {node.name}")
         assert found == []
 
+    def test_only_graph_touches_the_adjacency_lists(self):
+        # DiGraph's set index of long out-lists is right only while
+        # add_edge and the edge loader in graph.py are the only writers.
+        found = []
+        for path in sorted((SRC / "majoritylab").glob("*.py")):
+            if path.name == "graph.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in ("_out", "_long"):
+                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        assert found == []
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             majoritylab.no_such_name  # noqa: B018
