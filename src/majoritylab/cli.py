@@ -151,8 +151,10 @@ def _cmd_majority_verify(args: argparse.Namespace) -> int:
     coloring = _parse_coloring(_read_file(args.coloring), g.vertex_count, args.colors)
     report = majority.verify(g, coloring)
     print("vertex,mono,diff,satisfied")
-    for v, check in enumerate(report.checks):
-        print(f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}")
+    _write_lines(sys.stdout, (
+        f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}\n"
+        for v, check in enumerate(report.checks)
+    ))
     if report.satisfied:
         return 0
     print(f"violated at vertex {report.first_violation}", file=sys.stderr)
@@ -170,8 +172,7 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
         rows = sorted({tuple(c.colors[v] for v in free) for c in colorings})
     else:
         rows = [c.colors for c in colorings]
-    for row in rows:
-        print(" ".join(str(c) for c in row))
+    _write_lines(sys.stdout, (" ".join(map(str, row)) + "\n" for row in rows))
     return 0
 
 
@@ -280,9 +281,13 @@ def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
     for line in infinite.COVERAGE_NOTE.split(".  "):
         print(f"# {line.strip().rstrip('.')}.")
     print("mode,support,witness")
-    for entry in report.entries:
-        support = "+".join(str(p) for p in sorted(entry.description.support))
-        print(f"{entry.description.mode.value},{support},{entry.witness}")
+
+    def rows() -> Iterator[str]:
+        for entry in report.entries:
+            support = "+".join(str(p) for p in sorted(entry.description.support))
+            yield f"{entry.description.mode.value},{support},{entry.witness}\n"
+
+    _write_lines(sys.stdout, rows())
     return 0
 
 
@@ -292,8 +297,7 @@ def _cmd_infinite_sweep(args: argparse.Namespace) -> int:
 def _cmd_multigraph_solve(args: argparse.Namespace) -> int:
     mg = _parse_multigraph(_read_file(args.file))
     result = multigraph.local_search_2color(mg)
-    for v, c in enumerate(result.coloring.colors):
-        print(f"{v} {c}")
+    _write_lines(sys.stdout, (f"{v} {c}\n" for v, c in enumerate(result.coloring.colors)))
     print(f"# flips: {result.flips}", file=sys.stderr)
     return 0 if multigraph.verify_weighted(mg, result.coloring).satisfied else 1
 

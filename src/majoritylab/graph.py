@@ -16,7 +16,7 @@ import heapq
 import json
 import re
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleFound, ParseError
@@ -39,10 +39,12 @@ class DiGraph:
     Anti-parallel pairs (u, v) and (v, u) are two distinct edges and are
     both allowed.  Each out-list is kept in insertion order; once a list
     holds 32 targets, a set of them, built on first need, is indexed by
-    its source, so :meth:`add_edge` is linear in out-degree.
+    its source, so :meth:`add_edge` is linear in out-degree.  The graph
+    also keeps the order :func:`topological_sort` last computed for it;
+    :meth:`add_vertex` and :meth:`add_edge` drop that order.
     """
 
-    __slots__ = ("_out", "_long")
+    __slots__ = ("_out", "_long", "_order")
 
     def __init__(self, vertex_count: int = 0) -> None:
         if vertex_count < 0:
@@ -51,6 +53,8 @@ class DiGraph:
         # Source -> set of its targets, for out-lists of _SCAN_LIMIT or
         # more.  Only add_edge appends to such a list.
         self._long: dict[int, set[int]] = {}
+        # The topological order, once topological_sort has found one.
+        self._order: list[int] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -71,6 +75,7 @@ class DiGraph:
     def add_vertex(self) -> VertexId:
         """Append a fresh vertex and return its id (= previous vertex count)."""
         self._out.append([])
+        self._order = None
         return len(self._out) - 1
 
     def _check_vertex(self, v: int) -> None:
@@ -99,6 +104,7 @@ class DiGraph:
                 raise ValueError(f"edge ({u}, {v}) already present")
             seen.add(v)
         targets.append(v)
+        self._order = None
 
     def out(self, v: VertexId) -> Sequence[VertexId]:
         """Out-neighbors of ``v``.  The returned list must not be mutated."""
@@ -187,7 +193,15 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
     In-degrees and successors are read straight from the adjacency lists.
     The tie-break is kept for speed: the search engine colors in reverse of
     this order, which a FIFO ready list makes slower on deep truncations.
+
+    The order is stored on the graph until :meth:`DiGraph.add_vertex` or
+    :meth:`DiGraph.add_edge` changes it, so sorting an unchanged graph
+    again costs one list copy.  Each call returns a fresh copy, which the
+    caller may mutate.  A cycle is never stored: every call on a cyclic
+    graph sorts and raises again.
     """
+    if g._order is not None:
+        return g._order.copy()
     out = g._out
     in_degree = [0] * len(out)
     for targets in out:
@@ -206,7 +220,8 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
     if len(order) != g.vertex_count:
         remaining = frozenset(v for v, d in enumerate(in_degree) if d > 0)
         raise CycleFound(remaining)
-    return order
+    g._order = order
+    return order.copy()
 
 
 # --- text serialization -------------------------------------------------
@@ -290,8 +305,9 @@ def _load_edges(n: int, pairs: list, where: str) -> DiGraph:
         # An edge in range, not a self-loop and new to a list of fewer
         # than _SCAN_LIMIT targets is appended inline.  That append never
         # touches a longer list, so the set add_edge keeps for such a list
-        # stays in step with it.  add_edge takes every other edge, and
-        # raises for a bad one.
+        # stays in step with it, and the graph is fresh, so it has no
+        # stored topological order to drop.  add_edge takes every other
+        # edge, and raises for a bad one.
         if 0 <= u < n and 0 <= v < n and u != v:
             targets = out[u]
             if len(targets) < limit and v not in targets:
@@ -405,17 +421,22 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
     """Parse the DOT subset emitted by :func:`to_dot` (round-trip support).
 
     Statements are split on "\\n" only: other line-break characters may
-    appear raw inside a label.
+    appear raw inside a label.  Blank lines are skipped, but an error
+    names a statement by its line in ``text``, blank lines counted.
     """
-    body = [line for line in map(str.strip, text.split("\n")) if line]
-    if not body or body[0] != "digraph {" or body[-1] != "}":
+    lines = list(map(str.strip, text.split("\n")))
+    first = next((i for i, line in enumerate(lines) if line), 0)
+    last = next((i for i in reversed(range(len(lines))) if lines[i]), 0)
+    if lines[first] != "digraph {" or lines[last] != "}":
         raise ParseError("expected a 'digraph { ... }' document")
     vertices: list[int] = []
     names: dict[int, str] = {}
     edges: list[list[int]] = []
     # Edge lines are the majority, so they are tried first; no line
     # matches both patterns.
-    for lineno, line in enumerate(body[1:-1], 2):
+    for lineno, line in enumerate(islice(lines, first + 1, last), first + 2):
+        if not line:
+            continue
         edge = _DOT_EDGE_RE.match(line)
         node = None if edge else _DOT_NODE_RE.match(line)
         if not (edge or node):

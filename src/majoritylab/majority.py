@@ -23,7 +23,8 @@ keep it as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import sub
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import counterexample
 from .errors import CycleFound, TooLarge
@@ -51,13 +52,10 @@ class DeficiencyReport(NamedTuple):
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[int, int]]) -> "DeficiencyReport":
         """The report over ``(mono, diff)`` pairs in vertex order, read in one pass."""
-        checks: list[VertexCheck] = []
-        first = None
-        for v, (mono, diff) in enumerate(counts):
-            if mono > diff and first is None:
-                first = v
-            checks.append(VertexCheck(mono, diff, mono <= diff))
-        return cls(tuple(checks), first is None, first)
+        # tuple.__new__ skips VertexCheck's generated __new__ frame.
+        checks = tuple([tuple.__new__(VertexCheck, (m, d, m <= d)) for m, d in counts])
+        first = next((v for v, check in enumerate(checks) if not check[2]), None)
+        return cls(checks, first is None, first)
 
 
 def monochromatic(
@@ -87,12 +85,11 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
             f"coloring covers {len(coloring.colors)} vertices, "
             f"graph has {g.vertex_count}"
         )
-    colors = coloring.colors
-    def counts() -> Iterator[tuple[int, int]]:
-        for v, out in enumerate(g.adjacency):
-            mono = monochromatic(colors, v, out)
-            yield mono, len(out) - mono
-    return DeficiencyReport.from_counts(counts())
+    adjacency = g.adjacency
+    colors = itertools.repeat(coloring.colors)
+    monos = list(map(monochromatic, colors, range(len(adjacency)), adjacency))
+    diffs = map(sub, map(len, adjacency), monos)
+    return DeficiencyReport.from_counts(zip(monos, diffs))
 
 
 def greedy_dag_2color(g: DiGraph) -> Coloring:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from majoritylab.counterexample import truncation_extension
 from majoritylab.errors import CycleFound
 from majoritylab.graph import Coloring, DiGraph, topological_sort
-from majoritylab.majority import verify
+from majoritylab.majority import VertexCheck, verify
 from majoritylab.multigraph import WeightedMultigraph, _weight_vectors
 
 
@@ -76,6 +76,21 @@ def edge_list_kahn(g: DiGraph) -> list[int]:
     if len(order) != g.vertex_count:
         raise CycleFound(frozenset(v for v, d in enumerate(in_degree) if d > 0))
     return order
+
+
+def check_report(report, counts: list[tuple[int, int]]) -> None:
+    """Check a DeficiencyReport field by field against a plain loop over counts."""
+    assert type(report.checks) is tuple
+    assert len(report.checks) == len(counts)
+    first = None
+    for v, ((mono, diff), check) in enumerate(zip(counts, report.checks)):
+        assert type(check) is VertexCheck
+        assert (check.mono_count, check.diff_count) == (mono, diff)
+        assert check.satisfied is (mono <= diff)
+        if mono > diff and first is None:
+            first = v
+    assert report.satisfied is (first is None)
+    assert report.first_violation == first
 
 
 def random_multigraph(

@@ -121,7 +121,50 @@ class TestTopologicalSort:
 
     @given(dags())
     def test_deterministic(self, g):
-        assert topological_sort(g) == topological_sort(g)
+        # The second call reads the stored order; a graph that was never
+        # sorted must give the same one.
+        first = topological_sort(g)
+        fresh = DiGraph(g.vertex_count)
+        for u, v in g.sorted_edges():
+            fresh.add_edge(u, v)
+        assert topological_sort(g) == first == topological_sort(fresh)
+
+    def test_add_edge_after_a_sort(self):
+        g = DiGraph(3)
+        assert topological_sort(g) == [0, 1, 2]
+        g.add_edge(2, 0)
+        assert topological_sort(g) == [1, 2, 0]
+
+    def test_add_vertex_after_a_sort(self):
+        g = path_graph(2)
+        assert topological_sort(g) == [0, 1]
+        assert g.add_vertex() == 2
+        assert topological_sort(g) == [0, 1, 2]
+
+    def test_edge_closing_a_cycle_after_a_sort(self):
+        g = path_graph(3)
+        g.add_vertex()
+        g.add_edge(3, 0)
+        assert topological_sort(g) == [3, 0, 1, 2]
+        g.add_edge(2, 0)
+        fresh = DiGraph(4)
+        for u, v in g.sorted_edges():
+            fresh.add_edge(u, v)
+        with pytest.raises(CycleFound) as expected:
+            topological_sort(fresh)
+        for _ in range(2):  # a cycle is never stored
+            with pytest.raises(CycleFound) as exc:
+                topological_sort(g)
+            assert exc.value.vertices == expected.value.vertices == frozenset({0, 1, 2})
+
+    def test_returned_order_is_a_copy(self):
+        g = path_graph(3)
+        order = topological_sort(g)  # the call that sorts
+        order.reverse()
+        order.append(7)
+        assert topological_sort(g) == [0, 1, 2]
+        topological_sort(g).clear()  # a call that reads the stored order
+        assert topological_sort(g) == [0, 1, 2]
 
     @given(st.one_of(dags(), digraphs()))
     def test_matches_edge_list_kahn(self, g):
@@ -361,6 +404,31 @@ class TestDot:
         digits = "0" * sys.get_int_max_str_digits()
         with pytest.raises(ParseError, match="^line 4: number too long to parse$"):
             from_dot(f"digraph {{\n  0;\n  1;\n  {statement % digits}\n}}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("digraph {\n\n  0;\n  x;\n}\n", "line 4: unrecognized statement 'x;'"),
+            ("\n\ndigraph {\n  0;\n  x;\n}\n", "line 5: unrecognized statement 'x;'"),
+            (
+                "\n \ndigraph {\n\n  0;\n\t\n  x;\n\n}\n",
+                "line 7: unrecognized statement 'x;'",
+            ),
+            ("digraph {\r\n\r\n  0;\r\n  x;\r\n}\r\n", "line 4: unrecognized statement 'x;'"),
+            (
+                "\ndigraph {\n  0;\n\n  1;\n\n  2%s;\n}\n",
+                "line 7: number too long to parse",
+            ),
+            ("\n\ndigraph {\n  0;\n  0 -> 1%s;\n}\n", "line 5: number too long to parse"),
+        ],
+        ids=["in-body", "leading", "both", "crlf", "long-vertex", "long-edge"],
+    )
+    def test_error_names_the_line_counting_blank_ones(self, text, message):
+        if "%s" in text:
+            text %= "0" * sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as exc:
+            from_dot(text)
+        assert str(exc.value) == message
 
 
 class TestColoring:

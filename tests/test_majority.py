@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dags, digraphs, extension_rule_colorings, random_dag
+from helpers import check_report, dags, digraphs, extension_rule_colorings, random_dag
 from majoritylab import majority
 from majoritylab.counterexample import build_truncation
 from majoritylab.errors import CycleFound, TooLarge
@@ -84,6 +84,31 @@ class TestVerify:
         assert report.checks == expected.checks
         assert report.satisfied == expected.satisfied
         assert report.first_violation == expected.first_violation
+
+    @given(
+        st.one_of(dags(max_vertices=8), digraphs(max_vertices=8)),
+        st.integers(2, 3),
+        st.integers(0, 2**16),
+    )
+    def test_report_matches_a_plain_loop(self, g, k, seed):
+        # verify and from_counts both build the report at C speed, so the
+        # reference is a loop over counts recounted edge by edge.
+        rng = random.Random(seed)
+        colors = tuple(rng.randrange(k) for _ in range(g.vertex_count))
+        counts = []
+        for v in range(g.vertex_count):
+            mono = sum(1 for u in g.out(v) if colors[u] == colors[v])
+            counts.append((mono, g.out_degree(v) - mono))
+        check_report(verify(g, Coloring(k, colors)), counts)
+        check_report(DeficiencyReport.from_counts(iter(counts)), counts)
+
+    def test_empty_report(self):
+        for report in (
+            verify(DiGraph(0), Coloring(2, ())),
+            DeficiencyReport.from_counts(iter(())),
+        ):
+            assert report == ((), True, None)
+            check_report(report, [])
 
     @given(dags(max_vertices=8), st.integers(0, 2**16))
     def test_color_swap_invariance(self, g, seed):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     bucket_instances,
+    check_report,
     multigraphs,
     random_multigraph,
     rescan_local_search,
@@ -71,6 +73,24 @@ class TestVerifyWeighted:
         report = verify_weighted(WeightedMultigraph(1), Coloring(2, (0,)))
         assert report.satisfied
         assert report.checks[0] == (0, 0, True)
+
+    @given(multigraphs(max_vertices=6), st.integers(0, 2**16))
+    def test_report_matches_a_plain_loop(self, mg, seed):
+        rng = random.Random(seed)
+        colors = tuple(rng.randrange(2) for _ in range(mg.vertex_count))
+        counts = [[0, 0] for _ in range(mg.vertex_count)]
+        for u, v, w in mg.edges():
+            side = 0 if colors[u] == colors[v] else 1
+            counts[u][side] += w
+            counts[v][side] += w
+        check_report(
+            verify_weighted(mg, Coloring(2, colors)), [tuple(c) for c in counts]
+        )
+
+    def test_empty_report(self):
+        report = verify_weighted(WeightedMultigraph(0), Coloring(2, ()))
+        assert report == ((), True, None)
+        check_report(report, [])
 
     @given(multigraphs(max_vertices=6))
     def test_unit_weights_agree_with_digraph_verifier(self, mg):

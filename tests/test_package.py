@@ -104,14 +104,17 @@ class TestPublicSurface:
         assert found == []
 
     def test_only_graph_touches_the_adjacency_lists(self):
-        # DiGraph's set index of long out-lists is right only while
-        # add_edge and the edge loader in graph.py are the only writers.
+        # DiGraph's set index of long out-lists and its stored topological
+        # order are right only while add_edge, add_vertex and the edge
+        # loader in graph.py are the only writers.
         found = []
         for path in sorted((SRC / "majoritylab").glob("*.py")):
             if path.name == "graph.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and node.attr in ("_out", "_long"):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                    "_out", "_long", "_order"
+                ):
                     found.append(f"{path.name}:{node.lineno}: .{node.attr}")
         assert found == []
 
