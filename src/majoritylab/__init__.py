@@ -37,7 +37,7 @@ _EXPORTS = {
         "check_symbolic", "out_profile", "theorem_sweep",
     ),
     "majority": (
-        "DeficiencyReport", "VertexCheck", "brute_force_majority_colorings",
+        "DeficiencyReport", "brute_force_majority_colorings",
         "enumerate_majority_colorings", "feasible_prefix_set",
         "greedy_dag_2color", "verify",
     ),

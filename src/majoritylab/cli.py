@@ -152,8 +152,8 @@ def _cmd_majority_verify(args: argparse.Namespace) -> int:
     report = majority.verify(g, coloring)
     print("vertex,mono,diff,satisfied")
     _write_lines(sys.stdout, (
-        f"{v},{check.mono_count},{check.diff_count},{_bool_text(check.satisfied)}\n"
-        for v, check in enumerate(report.checks)
+        f"{v},{m},{d},{_bool_text(m <= d)}\n"
+        for v, (m, d) in enumerate(zip(report.mono, report.diff))
     ))
     if report.satisfied:
         return 0
@@ -177,13 +177,11 @@ def _cmd_majority_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_majority_prefix(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        raise ParseError("--m must be at least 1")
-    depths = range(max(2, args.m), args.max_n + 1)
-    if depths:  # refuse the largest truncation before hours of smaller ones
-        cx.check_truncation_size(depths[-1])
+    if not 1 <= args.m <= args.max_n or args.max_n < 2:
+        raise ParseError("--m and --max-n must satisfy 1 <= m <= max-n, 2 <= max-n")
+    cx.check_truncation_size(args.max_n)  # before hours of smaller depths
     print("n,m,count,patterns")
-    for n in depths:
+    for n in range(max(2, args.m), args.max_n + 1):
         patterns = sorted(majority.feasible_prefix_set(n, args.m))
         rendered = "|".join(_pattern_text(p) for p in patterns)
         print(f"{n},{args.m},{len(patterns)},{rendered}")

@@ -23,7 +23,7 @@ keep it as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from operator import sub
+from operator import gt, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import counterexample
@@ -36,26 +36,25 @@ from .graph import Coloring, DiGraph, VertexId, topological_sort
 MAX_STORED_COLORS = 2**22
 
 
-class VertexCheck(NamedTuple):
-    mono_count: int
-    diff_count: int
-    satisfied: bool
-
-
 class DeficiencyReport(NamedTuple):
-    """Per-vertex monochromatic/bichromatic out-edge counts (or weights)."""
+    """Mono and diff counts (or weights) per vertex, and the first violated vertex."""
 
-    checks: tuple[VertexCheck, ...]
-    satisfied: bool
+    mono: tuple[int, ...]
+    diff: tuple[int, ...]
     first_violation: int | None
 
+    @property
+    def satisfied(self) -> bool:
+        return self.first_violation is None
+
     @classmethod
-    def from_counts(cls, counts: Iterable[tuple[int, int]]) -> "DeficiencyReport":
-        """The report over ``(mono, diff)`` pairs in vertex order, read in one pass."""
-        # tuple.__new__ skips VertexCheck's generated __new__ frame.
-        checks = tuple([tuple.__new__(VertexCheck, (m, d, m <= d)) for m, d in counts])
-        first = next((v for v, check in enumerate(checks) if not check[2]), None)
-        return cls(checks, first is None, first)
+    def from_counts(cls, mono: Iterable[int], diff: Iterable[int]) -> DeficiencyReport:
+        """The report over two count columns of equal length, in vertex order."""
+        mono, diff = tuple(mono), tuple(diff)
+        if len(mono) != len(diff):
+            raise ValueError(f"{len(mono)} mono counts but {len(diff)} diff counts")
+        first = next(itertools.compress(itertools.count(), map(gt, mono, diff)), None)
+        return cls(mono, diff, first)
 
 
 def monochromatic(
@@ -87,9 +86,8 @@ def verify(g: DiGraph, coloring: Coloring) -> DeficiencyReport:
         )
     adjacency = g.adjacency
     colors = itertools.repeat(coloring.colors)
-    monos = list(map(monochromatic, colors, range(len(adjacency)), adjacency))
-    diffs = map(sub, map(len, adjacency), monos)
-    return DeficiencyReport.from_counts(zip(monos, diffs))
+    mono = tuple(map(monochromatic, colors, range(len(adjacency)), adjacency))
+    return DeficiencyReport.from_counts(mono, map(sub, map(len, adjacency), mono))
 
 
 def greedy_dag_2color(g: DiGraph) -> Coloring:

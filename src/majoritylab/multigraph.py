@@ -4,10 +4,10 @@ Parallel edges are represented by weights: adding an edge over an
 existing pair merges by summing, which subsumes multiplicity.  The
 majority condition compares, per vertex, the summed weight of
 bichromatic incident edges against the monochromatic ones.  One helper
-computes that ``(mono, diff)`` weight pair for the verifier and the
-k-coloring probe (the local search starts all-zero: all ``mono``); the
-verifier returns the same :class:`~majoritylab.majority.DeficiencyReport`
-as the digraph verifier (unit weights give the unweighted counts).
+gives a vertex's monochromatic weight for the verifier and the k-coloring
+probe, the rest of its incident weight being bichromatic; the verifier
+returns the same :class:`~majoritylab.majority.DeficiencyReport` as the
+digraph verifier (unit weights give the unweighted counts).
 
 Finite instances are always majority 2-colorable: flipping any violated
 vertex strictly increases the total cut weight, so the local search
@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import TooLarge
 from .graph import Coloring, VertexId
@@ -99,19 +99,20 @@ class LocalSearchResult(NamedTuple):
     flips: int
 
 
-def _mono_diff(
-    mg: WeightedMultigraph, colors: Sequence[int], v: VertexId
-) -> tuple[int, int]:
-    """Incident weight of ``v`` inside its color class, and across it."""
+def _incidence(mg: WeightedMultigraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Every vertex's incident list and total incident weight, read once."""
+    incident = [mg.incident(v) for v in range(mg.vertex_count)]
+    return incident, [sum(map(itemgetter(1), inc)) for inc in incident]
+
+
+def _mono_weight(colors: Sequence[int], v: int, inc: Iterable[tuple[int, int]]) -> int:
+    """Weight of ``v``'s incident edges ``inc`` inside its color class."""
     cv = colors[v]
     mono = 0
-    diff = 0
-    for u, w in mg.incident(v):
+    for u, w in inc:
         if colors[u] == cv:
             mono += w
-        else:
-            diff += w
-    return mono, diff
+    return mono
 
 
 def verify_weighted(mg: WeightedMultigraph, coloring: Coloring) -> DeficiencyReport:
@@ -121,9 +122,9 @@ def verify_weighted(mg: WeightedMultigraph, coloring: Coloring) -> DeficiencyRep
             f"coloring covers {len(coloring.colors)} vertices, "
             f"multigraph has {mg.vertex_count}"
         )
-    return DeficiencyReport.from_counts(
-        _mono_diff(mg, coloring.colors, v) for v in range(mg.vertex_count)
-    )
+    incident, totals = _incidence(mg)
+    mono = [_mono_weight(coloring.colors, v, inc) for v, inc in enumerate(incident)]
+    return DeficiencyReport.from_counts(mono, map(sub, totals, mono))
 
 
 def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
@@ -140,8 +141,8 @@ def local_search_2color(mg: WeightedMultigraph) -> LocalSearchResult:
     """
     n = mg.vertex_count
     colors = [0] * n
-    incident = [mg.incident(v) for v in range(n)]
-    balance = [-sum(map(itemgetter(1), inc)) for inc in incident]
+    incident, totals = _incidence(mg)
+    balance = [-total for total in totals]
     violated = [v for v in range(n) if balance[v] < 0]  # sorted, so a heap
     flips = 0
     while violated:
@@ -166,10 +167,11 @@ def has_majority_k_coloring(mg: WeightedMultigraph, k: int) -> bool:
     """Brute force over all k^V assignments, each dropped at its first violation."""
     if k < 1:
         raise ValueError("palette size must be positive")
-    for combo in itertools.product(range(k), repeat=mg.vertex_count):
-        for v in range(mg.vertex_count):
-            mono, diff = _mono_diff(mg, combo, v)
-            if mono > diff:
+    incident, totals = _incidence(mg)
+    vertices = list(zip(range(len(incident)), incident, totals))
+    for combo in itertools.product(range(k), repeat=len(incident)):
+        for v, inc, total in vertices:
+            if 2 * _mono_weight(combo, v, inc) > total:
                 break
         else:
             return True

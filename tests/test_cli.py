@@ -212,6 +212,31 @@ class TestMajorityCommands:
         assert code == 1
         assert "violated at vertex 0" in err
 
+    def test_verify_stdout_on_a_violated_coloring(self, tmp_path):
+        g = DiGraph(6)
+        for u, v in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]:
+            g.add_edge(u, v)
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(to_text(g), encoding="utf-8")
+        coloring = tmp_path / "c.txt"
+        colors = (0, 1, 1, 1, 1, 0)
+        coloring.write_text(
+            "".join(f"{v} {c}\n" for v, c in enumerate(colors)), encoding="utf-8"
+        )
+        code, out, err = run(["majority", "verify", str(graph_file), str(coloring)])
+        # Recounted by hand: 1 and 2 each match their one target, 3 matches
+        # one of two (a tie passes), and 5 is a sink.
+        assert out == (
+            "vertex,mono,diff,satisfied\n"
+            "0,0,2,true\n"
+            "1,1,0,false\n"
+            "2,1,0,false\n"
+            "3,1,1,true\n"
+            "4,0,1,true\n"
+            "5,0,0,true\n"
+        )
+        assert (code, err) == (1, "violated at vertex 1\n")
+
     def test_verify_partial_coloring_rejected(self, path_graph_file, tmp_path):
         coloring = tmp_path / "c.txt"
         coloring.write_text("0 0\n", encoding="utf-8")
@@ -302,6 +327,18 @@ class TestMajorityCommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: G_{max_n} would have ")
         assert err.endswith(" vertices, past the cap 1000000\n")
+
+    @pytest.mark.parametrize(
+        "max_n, m", [(3, 5), (1, 1), (0, 1), (3, 0)], ids=["m-above", "n1", "n0", "m0"]
+    )
+    def test_prefix_experiment_refuses_an_empty_range(self, max_n, m):
+        code, out, err = run(
+            ["majority", "prefix-experiment", "--max-n", str(max_n), "--m", str(m)]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --m and --max-n must satisfy 1 <= m <= max-n, 2 <= max-n\n"
+        )
 
     def test_prefix_experiment(self):
         code, out, _ = run(["majority", "prefix-experiment", "--max-n", "4", "--m", "2"])

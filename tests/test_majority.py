@@ -28,7 +28,7 @@ class TestVerify:
     def test_single_vertex_satisfied(self):
         report = verify(DiGraph(1), Coloring(2, (0,)))
         assert report.satisfied
-        assert report.checks[0] == (0, 0, True)
+        assert (report.mono[0], report.diff[0]) == (0, 0)
         assert report.first_violation is None
 
     def test_single_out_edge_monochromatic(self):
@@ -37,15 +37,16 @@ class TestVerify:
         report = verify(g, Coloring(2, (0, 0)))
         assert not report.satisfied
         assert report.first_violation == 0
-        assert report.checks[0] == (1, 0, False)
-        assert report.checks[1].satisfied
+        assert (report.mono[0], report.diff[0]) == (1, 0)
+        assert (report.mono[1], report.diff[1]) == (0, 0)
 
     def test_out_degree_three(self):
         g = DiGraph(4)
         for v in (1, 2, 3):
             g.add_edge(0, v)
         report = verify(g, Coloring(2, (1, 1, 1, 0)))
-        assert report.checks[0] == (2, 1, False)
+        assert (report.mono[0], report.diff[0]) == (2, 1)
+        assert report.first_violation == 0
 
     def test_palette_enforced_at_construction(self):
         with pytest.raises(ValueError, match="^vertex 1 has color 2, palette size is 2$"):
@@ -63,7 +64,7 @@ class TestVerify:
         for v in range(g.vertex_count):
             mono = sum(1 for u in g.out(v) if colors[u] == colors[v])
             diff = g.out_degree(v) - mono
-            assert report.checks[v] == (mono, diff, diff >= mono)
+            assert (report.mono[v], report.diff[v]) == (mono, diff)
 
     @given(
         st.one_of(dags(max_vertices=8), digraphs(max_vertices=8)),
@@ -76,14 +77,11 @@ class TestVerify:
         rng = random.Random(seed)
         colors = tuple(rng.randrange(k) for _ in range(g.vertex_count))
         report = verify(g, Coloring(k, colors))
-        counts = []
-        for v in range(g.vertex_count):
-            mono = majority.monochromatic(colors, v, g.out(v))
-            counts.append((mono, g.out_degree(v) - mono))
-        expected = DeficiencyReport.from_counts(counts)
-        assert report.checks == expected.checks
+        mono = [majority.monochromatic(colors, v, g.out(v)) for v in range(g.vertex_count)]
+        diff = [g.out_degree(v) - m for v, m in enumerate(mono)]
+        expected = DeficiencyReport.from_counts(mono, diff)
+        assert report == expected
         assert report.satisfied == expected.satisfied
-        assert report.first_violation == expected.first_violation
 
     @given(
         st.one_of(dags(max_vertices=8), digraphs(max_vertices=8)),
@@ -100,15 +98,21 @@ class TestVerify:
             mono = sum(1 for u in g.out(v) if colors[u] == colors[v])
             counts.append((mono, g.out_degree(v) - mono))
         check_report(verify(g, Coloring(k, colors)), counts)
-        check_report(DeficiencyReport.from_counts(iter(counts)), counts)
+        monos = iter([m for m, _ in counts])
+        diffs = iter([d for _, d in counts])
+        check_report(DeficiencyReport.from_counts(monos, diffs), counts)
 
     def test_empty_report(self):
         for report in (
             verify(DiGraph(0), Coloring(2, ())),
-            DeficiencyReport.from_counts(iter(())),
+            DeficiencyReport.from_counts(iter(()), iter(())),
         ):
-            assert report == ((), True, None)
+            assert report == ((), (), None)
             check_report(report, [])
+
+    def test_from_counts_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match="^2 mono counts but 1 diff counts$"):
+            DeficiencyReport.from_counts((1, 2), (0,))
 
     @given(dags(max_vertices=8), st.integers(0, 2**16))
     def test_color_swap_invariance(self, g, seed):
@@ -116,7 +120,7 @@ class TestVerify:
         c = Coloring(2, tuple(rng.randint(0, 1) for _ in range(g.vertex_count)))
         a = verify(g, c)
         b = verify(g, Coloring(2, tuple(1 - x for x in c.colors)))
-        assert [x.satisfied for x in a.checks] == [x.satisfied for x in b.checks]
+        assert a == b
 
     @given(dags(max_vertices=8), st.integers(0, 2**16))
     def test_relabeling_permutes_the_report(self, g, seed):
@@ -136,7 +140,7 @@ class TestVerify:
         a = verify(g, Coloring(2, colors))
         b = verify(h, Coloring(2, tuple(relabeled)))
         for v in range(n):
-            assert a.checks[v] == b.checks[perm[v]]
+            assert (a.mono[v], a.diff[v]) == (b.mono[perm[v]], b.diff[perm[v]])
 
 
 class TestGreedy:

@@ -66,13 +66,13 @@ class TestVerifyWeighted:
         report = verify_weighted(mg, Coloring(2, (0, 0)))
         assert not report.satisfied
         assert report.first_violation == 0
-        assert report.checks[0] == (5, 0, False)
-        assert report.checks[1] == (5, 0, False)
+        assert (report.mono[0], report.diff[0]) == (5, 0)
+        assert (report.mono[1], report.diff[1]) == (5, 0)
 
     def test_isolated_vertex(self):
         report = verify_weighted(WeightedMultigraph(1), Coloring(2, (0,)))
         assert report.satisfied
-        assert report.checks[0] == (0, 0, True)
+        assert (report.mono[0], report.diff[0]) == (0, 0)
 
     @given(multigraphs(max_vertices=6), st.integers(0, 2**16))
     def test_report_matches_a_plain_loop(self, mg, seed):
@@ -89,7 +89,7 @@ class TestVerifyWeighted:
 
     def test_empty_report(self):
         report = verify_weighted(WeightedMultigraph(0), Coloring(2, ()))
-        assert report == ((), True, None)
+        assert report == ((), (), None)
         check_report(report, [])
 
     @given(multigraphs(max_vertices=6))

@@ -23,7 +23,7 @@ PUBLIC = [
     "PrecoloringOutcome", "SemanticsReport",
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
     "SweepEntry", "SweepFailure", "SweepReport", "TooLarge",
-    "TruncationSpec", "VertexCheck", "VertexId",
+    "TruncationSpec", "VertexId",
     "WeightedMultigraph", "brute_force_majority_colorings", "build_or2",
     "build_or_chain", "build_truncation", "check_symbolic", "counterexample",
     "enumerate_majority_colorings", "errors", "feasible_prefix_set",
@@ -48,7 +48,7 @@ NO_MODULE_ATTR = {
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 60
+        assert len(PUBLIC) == 59
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 
@@ -116,6 +116,20 @@ class TestPublicSurface:
                     "_out", "_long", "_order"
                 ):
                     found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        assert found == []
+
+    def test_only_majority_builds_a_report_directly(self):
+        # DeficiencyReport.from_counts is where the first-violation rule
+        # lives; any other module builds its reports through it.
+        found = []
+        for path in sorted((SRC / "majoritylab").glob("*.py")):
+            if path.name == "majority.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and (
+                    ast.unparse(node.func).rpartition(".")[2] == "DeficiencyReport"
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
     def test_unknown_attribute_raises(self):
