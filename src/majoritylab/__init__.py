@@ -16,8 +16,7 @@ import sys as _sys
 _EXPORTS = {
     "counterexample": (
         "SigmaCheckResult", "SigmaLabeling", "TruncationSpec",
-        "build_truncation", "sigma_label", "truncation_extension",
-        "truncation_names", "verify_sigma",
+        "build_truncation", "sigma_label", "truncation_names", "verify_sigma",
     ),
     "errors": (
         "CycleFound", "MajorityLabError", "ParseError", "SweepFailure",
@@ -25,8 +24,7 @@ _EXPORTS = {
     ),
     "gadgets": (
         "GadgetHandle", "GadgetStage", "PrecoloringOutcome", "SemanticsReport",
-        "build_or2", "build_or_chain", "forced_extension", "is_valid_gadget",
-        "stage_names", "verify_or_semantics",
+        "build_or_chain", "is_valid_gadget", "stage_names", "verify_or_semantics",
     ),
     "graph": (
         "MAX_VERTICES", "Coloring", "DiGraph", "VertexId", "from_dot", "from_text",

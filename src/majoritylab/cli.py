@@ -54,7 +54,7 @@ def _write_lines(stream: TextIO, lines: Iterable[str]) -> None:
 def _line_records(text: str, shape: str, count: str) -> Iterator[tuple[int, list[int]]]:
     """``(line number, integers)`` per record; blank and '#' lines are skipped."""
     width = len(shape.split())
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

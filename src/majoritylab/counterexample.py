@@ -26,12 +26,18 @@ SigmaLabeling = dict[VertexId, tuple[int, int, int]]
 
 
 class TruncationSpec(NamedTuple):
-    """Layout of a built truncation: path ids, anchor id, gadget registry."""
+    """A built truncation's depth and gadget registry; the ids follow from n."""
 
     n: int
-    path: tuple[VertexId, ...]
-    anchor: VertexId
     gadget_registry: dict[tuple[int, int], GadgetHandle]
+
+    @property
+    def path(self) -> tuple[VertexId, ...]:
+        return tuple(range(self.n))
+
+    @property
+    def anchor(self) -> VertexId:
+        return self.n
 
     def path_vertex(self, i: int) -> VertexId:
         """Id of v_i (1-based path position)."""
@@ -41,8 +47,13 @@ class TruncationSpec(NamedTuple):
 
 
 class SigmaCheckResult(NamedTuple):
-    ok: bool
+    """The first edge the σ-labeling fails on, or ``None``."""
+
     first_violation: tuple[VertexId, VertexId] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_violation is None
 
 
 def check_truncation_size(n: int) -> None:
@@ -57,18 +68,17 @@ def build_truncation(n: int) -> tuple[DiGraph, TruncationSpec]:
     if n < 2:
         raise ValueError("truncation depth must be at least 2")
     check_truncation_size(n)
-    g = DiGraph(n + 1)  # path ids 0..n-1, anchor id n
-    anchor = n
-    for m in range(n - 1):
-        g.add_edge(m, m + 1)
-    registry: dict[tuple[int, int], GadgetHandle] = {}
+    spec = TruncationSpec(n, {})
+    path = spec.path
+    g = DiGraph(n + 1)  # the path, then the anchor
+    for u, v in zip(path, path[1:]):
+        g.add_edge(u, v)
     for i in range(2, n):
         for j in range(i + 1, n + 1):
-            handle = build_or_chain(g, anchor, tuple(range(i - 1, j)))
-            g.add_edge(i - 2, handle.output)  # hookup from v_{i-1}
-            registry[(i, j)] = handle
-    return g, TruncationSpec(n=n, path=tuple(range(n)), anchor=anchor,
-                             gadget_registry=registry)
+            handle = build_or_chain(g, spec.anchor, path[i - 1 : j])
+            g.add_edge(path[i - 2], handle.output)  # hookup from v_{i-1}
+            spec.gadget_registry[(i, j)] = handle
+    return g, spec
 
 
 def truncation_extension(g: DiGraph, spec: TruncationSpec):
@@ -106,8 +116,8 @@ def sigma_label(g: DiGraph, spec: TruncationSpec) -> SigmaLabeling:
     result edge by edge, without trusting that order.
     """
     labels: SigmaLabeling = {}
-    for i in range(1, spec.n + 1):
-        labels[spec.path_vertex(i)] = (i, 0, 0)
+    for i, v in enumerate(spec.path, 1):
+        labels[v] = (i, 0, 0)
     for (i, j), handle in spec.gadget_registry.items():
         for p, w in enumerate(handle.internal_order):
             labels[w] = (i - 1, j, p)
@@ -122,24 +132,25 @@ def verify_sigma(
     Edges into the anchor only require a labeled source.  The first
     violating edge in (source, target) lexicographic order is reported.
     """
+    anchor = spec.anchor
     for v in range(g.vertex_count):
-        if v != spec.anchor and v not in labels:
+        if v != anchor and v not in labels:
             raise ValueError(f"labeling is not total: vertex {v} has no label")
     for u, v in g.sorted_edges():
-        if u == spec.anchor:
-            return SigmaCheckResult(False, (u, v))
-        if v == spec.anchor:
+        if u == anchor:
+            return SigmaCheckResult((u, v))
+        if v == anchor:
             continue  # source label existence already established
         if not labels[u] < labels[v]:
-            return SigmaCheckResult(False, (u, v))
-    return SigmaCheckResult(True, None)
+            return SigmaCheckResult((u, v))
+    return SigmaCheckResult(None)
 
 
 def truncation_names(spec: TruncationSpec) -> dict[VertexId, str]:
     """Side name map: v1..vn, T, and per-gadget stage roles."""
     names: dict[int, str] = {}
-    for i in range(1, spec.n + 1):
-        names[spec.path_vertex(i)] = f"v{i}"
+    for i, v in enumerate(spec.path, 1):
+        names[v] = f"v{i}"
     names[spec.anchor] = "T"
     for (i, j), handle in spec.gadget_registry.items():
         names.update(stage_names(handle, prefix=f"or{i}_{j}."))

@@ -105,17 +105,34 @@ class GadgetHandle(_GadgetHandleFields):
 
 
 class PrecoloringOutcome(NamedTuple):
+    """One input precoloring: how many internal extensions it has, and the
+    output truth they share (``None`` when there are none or they differ)."""
+
     inputs: tuple[bool, ...]
-    extension_exists: bool
-    extension_unique: bool
+    extensions: int
     output_truth: bool | None
+
+    @property
+    def extension_exists(self) -> bool:
+        return self.extensions > 0
+
+    @property
+    def extension_unique(self) -> bool:
+        return self.extensions == 1
 
 
 class SemanticsReport(NamedTuple):
     """Exhaustive truth table of a gadget over all input precolorings."""
 
     outcomes: tuple[PrecoloringOutcome, ...]
-    is_or: bool
+
+    @property
+    def is_or(self) -> bool:
+        """Every precoloring extends, and every extension outputs the OR."""
+        return all(
+            o.extension_exists and o.output_truth == any(o.inputs)
+            for o in self.outcomes
+        )
 
 
 def build_or2(
@@ -218,18 +235,8 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
                 extension_count += 1
                 output_truths.add(colors[handle.output] == 0)
         output_truth = output_truths.pop() if len(output_truths) == 1 else None
-        outcomes.append(
-            PrecoloringOutcome(
-                inputs=pre,
-                extension_exists=extension_count > 0,
-                extension_unique=extension_count == 1,
-                output_truth=output_truth,
-            )
-        )
-    is_or = all(
-        o.extension_exists and o.output_truth == any(o.inputs) for o in outcomes
-    )
-    return SemanticsReport(tuple(outcomes), is_or)
+        outcomes.append(PrecoloringOutcome(pre, extension_count, output_truth))
+    return SemanticsReport(tuple(outcomes))
 
 
 def forced_extension(

@@ -494,6 +494,24 @@ class TestLineRecords:
             argv = ["multigraph", "solve", str(f)]
         assert run(argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    @pytest.mark.parametrize("kind", ["coloring", "multigraph"])
+    def test_only_newline_ends_a_record(self, path_graph_file, tmp_path, kind, sep):
+        # str.splitlines would break at sep, so line 1 would be two records
+        # and the bad record would be reported on line 3.
+        f = tmp_path / "records.txt"
+        if kind == "coloring":
+            f.write_text(f"0 0{sep}1 1\n2 x\n", encoding="utf-8")
+            argv = ["majority", "verify", str(path_graph_file), str(f)]
+            message = "line 1: expected 'vertex color'"
+        else:
+            f.write_text(f"0 1 1{sep}1 2 1\n0 1 x\n", encoding="utf-8")
+            argv = ["multigraph", "solve", str(f)]
+            message = "line 1: expected 'u v w'"
+        assert run(argv) == (2, "", f"error: {message}\n")
+
     def test_coloring_skips_blank_and_comment_lines(self, path_graph_file, tmp_path):
         f = tmp_path / "c.txt"
         f.write_text("# colors\n\n0 0\n   \n  # mid\n1 1\n2 0\n", encoding="utf-8")

@@ -6,6 +6,8 @@ import pytest
 from helpers import sorted_sigma_label
 from majoritylab import counterexample
 from majoritylab.counterexample import (
+    SigmaCheckResult,
+    TruncationSpec,
     build_truncation,
     sigma_label,
     truncation_names,
@@ -95,6 +97,19 @@ class TestLayout:
             g, spec = build_truncation(n)
             assert g.out_degree(spec.anchor) == 0
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_path_and_anchor_follow_the_depth(self, n):
+        g, spec = build_truncation(n)
+        assert TruncationSpec._fields == ("n", "gadget_registry")
+        assert TruncationSpec(n, spec.gadget_registry) == spec
+        assert spec.path == tuple(range(n))
+        assert all(v in g.out(u) for u, v in zip(spec.path, spec.path[1:]))
+        sinks = [v for v in range(g.vertex_count) if g.out_degree(v) == 0]
+        assert sinks == [spec.path[-1], spec.anchor]
+        assert all(h.anchor == spec.anchor for h in spec.gadget_registry.values())
+        with pytest.raises(AttributeError):
+            spec.anchor = 0
+
     def test_rejects_tiny_depth(self):
         with pytest.raises(ValueError):
             build_truncation(1)
@@ -157,6 +172,13 @@ class TestSigma:
         result = verify_sigma(g, spec, sigma_label(g, spec))
         assert result.ok
         assert result.first_violation is None
+
+    def test_result_ok_follows_the_violation(self):
+        assert SigmaCheckResult._fields == ("first_violation",)
+        assert SigmaCheckResult(None).ok
+        assert not SigmaCheckResult((0, 1)).ok
+        with pytest.raises(AttributeError):
+            SigmaCheckResult(None).ok = False
 
     def test_check_streams_the_edges(self):
         # A list of G_30's edges alone would take about 2 MB.

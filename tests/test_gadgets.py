@@ -9,6 +9,8 @@ from majoritylab.errors import TooLarge
 from majoritylab.gadgets import (
     DEFAULT_EXHAUSTION_BOUND,
     GadgetHandle,
+    PrecoloringOutcome,
+    SemanticsReport,
     build_or2,
     build_or_chain,
     forced_extension,
@@ -17,13 +19,32 @@ from majoritylab.gadgets import (
     verify_or_semantics,
 )
 from majoritylab.graph import DiGraph
-from majoritylab.majority import brute_force_majority_colorings
+from majoritylab.majority import (
+    brute_force_majority_colorings,
+    enumerate_majority_colorings,
+)
 
 
 def fresh_chain(k):
     g = DiGraph(k + 1)
     handle = build_or_chain(g, 0, tuple(range(1, k + 1)))
     return g, handle
+
+
+def engine_outcomes(g, handle):
+    """``(inputs, extensions, output_truth)`` per precoloring, from the search engine.
+
+    The anchor is pinned to 0 and each input to 0 iff true.  With the
+    inputs and the anchor sinks, the engine checks exactly the internals.
+    """
+    rows = []
+    for pre in itertools.product((False, True), repeat=len(handle.inputs)):
+        fixed = {handle.anchor: 0}
+        fixed.update((u, 0 if t else 1) for u, t in zip(handle.inputs, pre))
+        found = enumerate_majority_colorings(g, 2, fixed=fixed)
+        truths = {c.colors[handle.output] == 0 for c in found}
+        rows.append((pre, len(found), truths.pop() if len(truths) == 1 else None))
+    return rows
 
 
 class TestConstruction:
@@ -255,6 +276,35 @@ class TestSemanticsOracle:
             for o in report.outcomes
         ] == expected
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_extension_counts_match_the_engine(self, k):
+        g, handle = fresh_chain(k)
+        report = verify_or_semantics(g, handle)
+        assert [
+            (o.inputs, o.extensions, o.output_truth) for o in report.outcomes
+        ] == engine_outcomes(g, handle)
+        assert all(o.extensions == 1 for o in report.outcomes)
+
+    @pytest.mark.parametrize("k, ones, twos", [(2, 6, 18), (3, 26, 70)])
+    def test_edge_drop_mutants_match_the_engine(self, k, ones, twos):
+        # Dropping one of the 6(k-1) edges frees a vertex or loosens a
+        # collector, so some precolorings gain a second extension.
+        g, handle = fresh_chain(k)
+        edges = list(g.sorted_edges())
+        assert len(edges) == 6 * (k - 1)
+        counts = []
+        for drop in edges:
+            mutant = DiGraph(g.vertex_count)
+            for edge in edges:
+                if edge != drop:
+                    mutant.add_edge(*edge)
+            report = verify_or_semantics(mutant, handle)
+            rows = [(o.inputs, o.extensions, o.output_truth) for o in report.outcomes]
+            assert rows == engine_outcomes(mutant, handle), drop
+            counts += [o.extensions for o in report.outcomes]
+        assert (counts.count(1), counts.count(2)) == (ones, twos)
+        assert len(counts) == len(edges) << k
+
     def test_embedded_gadgets_match_isolated_chains(self):
         # In G_5 the inputs are path ids, the anchor is id 5 and the
         # internals sit past both, so no gadget's members are 0..V-1.
@@ -298,6 +348,33 @@ class TestSemanticsOracle:
             g.add_edge(stage.collector, neg)
         report = verify_or_semantics(g, handle)
         assert not report.is_or
+
+
+class TestDerivedVerdicts:
+    def test_records_hold_only_their_data(self):
+        assert PrecoloringOutcome._fields == ("inputs", "extensions", "output_truth")
+        assert SemanticsReport._fields == ("outcomes",)
+
+    @pytest.mark.parametrize("extensions, exists, unique", [
+        (0, False, False), (1, True, True), (2, True, False),
+    ])
+    def test_outcome_verdicts_follow_the_count(self, extensions, exists, unique):
+        outcome = PrecoloringOutcome((True, False), extensions, None)
+        assert outcome.extension_exists is exists
+        assert outcome.extension_unique is unique
+        with pytest.raises(AttributeError):
+            outcome.extension_unique = not unique
+
+    @pytest.mark.parametrize("extensions, output_truth, is_or", [
+        (1, True, True), (0, None, False), (1, False, False),
+    ], ids=["or", "no-extension", "wrong-output"])
+    def test_report_is_or_follows_the_outcomes(self, extensions, output_truth, is_or):
+        good = PrecoloringOutcome((False, False), 1, False)
+        last = PrecoloringOutcome((True, False), extensions, output_truth)
+        report = SemanticsReport((good, last))
+        assert report.is_or is is_or
+        with pytest.raises(AttributeError):
+            report.is_or = not is_or
 
 
 class TestForcedExtension:

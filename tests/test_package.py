@@ -24,15 +24,15 @@ PUBLIC = [
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
     "SweepEntry", "SweepFailure", "SweepReport", "TooLarge",
     "TruncationSpec", "VertexId",
-    "WeightedMultigraph", "brute_force_majority_colorings", "build_or2",
+    "WeightedMultigraph", "brute_force_majority_colorings",
     "build_or_chain", "build_truncation", "check_symbolic", "counterexample",
     "enumerate_majority_colorings", "errors", "feasible_prefix_set",
-    "forced_extension", "from_dot", "from_text", "from_text_with_names",
+    "from_dot", "from_text", "from_text_with_names",
     "gadgets", "graph", "greedy_dag_2color", "has_majority_k_coloring",
     "infinite", "is_valid_gadget", "local_search_2color", "majority",
     "multigraph", "out_profile", "search_non_k_colorable",
     "sigma_label", "stage_names", "theorem_sweep", "to_dot", "to_text",
-    "topological_sort", "truncation_extension", "truncation_names", "verify",
+    "topological_sort", "truncation_names", "verify",
     "verify_or_semantics", "verify_sigma", "verify_weighted",
 ]
 SUBMODULES = {
@@ -48,7 +48,7 @@ NO_MODULE_ATTR = {
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 59
+        assert len(PUBLIC) == 56
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 
