@@ -43,7 +43,7 @@ class TruncationSpec(NamedTuple):
         """Id of v_i (1-based path position)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"path position {i} outside 1..{self.n}")
-        return self.path[i - 1]
+        return i - 1
 
 
 class SigmaCheckResult(NamedTuple):

@@ -151,12 +151,14 @@ def build_or_chain(
     over k inputs has k-1 stages, 4(k-1) internal vertices and 6(k-1)
     edges.  Each stage creates its fresh vertices in the order
     (neg_left, neg_right, neg_anchor, collector); the last collector is
-    the output.  All arguments, and the size cap, are checked first.
+    the output.  All arguments, and the size cap, are checked first; then
+    the chain, simple by construction, is appended in one batch.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
         raise ValueError(f"chained OR needs at least 2 inputs, got {len(inputs)}")
-    size = g.vertex_count + 4 * (len(inputs) - 1)
+    n = g.vertex_count
+    size = n + 4 * (len(inputs) - 1)
     if size > MAX_VERTICES:
         raise TooLarge(f"the graph would reach {size} vertices, past the cap {MAX_VERTICES}")
     if len(set(inputs)) != len(inputs):
@@ -164,25 +166,17 @@ def build_or_chain(
     if anchor in inputs:
         raise ValueError("the anchor cannot be a chain input")
     for v in (anchor, *inputs):
-        if not 0 <= v < g.vertex_count:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} does not exist")
     stages: list[GadgetStage] = []
+    out_lists: list[list[VertexId]] = []
     left = inputs[0]
     for right in inputs[1:]:
-        neg_left = g.add_vertex()
-        neg_right = g.add_vertex()
-        neg_anchor = g.add_vertex()
-        collector = g.add_vertex()
-        g.add_edge(neg_left, left)
-        g.add_edge(neg_right, right)
-        g.add_edge(neg_anchor, anchor)
-        g.add_edge(collector, neg_left)
-        g.add_edge(collector, neg_right)
-        g.add_edge(collector, neg_anchor)
-        stages.append(
-            GadgetStage(left, right, neg_left, neg_right, neg_anchor, collector)
-        )
-        left = collector
+        stages.append(GadgetStage(left, right, n, n + 1, n + 2, n + 3))
+        out_lists += ([left], [right], [anchor], [n, n + 1, n + 2])
+        left = n + 3
+        n += 4
+    g._append_simple(out_lists)
     return GadgetHandle(anchor, tuple(stages))
 
 

@@ -41,7 +41,7 @@ class DiGraph:
     holds 32 targets, a set of them, built on first need, is indexed by
     its source, so :meth:`add_edge` is linear in out-degree.  The graph
     also keeps the order :func:`topological_sort` last computed for it;
-    :meth:`add_vertex` and :meth:`add_edge` drop that order.
+    adding a vertex or an edge drops that order.
     """
 
     __slots__ = ("_out", "_long", "_order")
@@ -77,6 +77,17 @@ class DiGraph:
         self._out.append([])
         self._order = None
         return len(self._out) - 1
+
+    def _append_simple(self, out_lists: list[list[VertexId]]) -> None:
+        """Append one fresh vertex per out-list, unchecked; drop the stored order.
+
+        The graph stays simple only if every target is an existing vertex
+        or an earlier list's fresh vertex and no list repeats a target, as
+        in :func:`gadgets.build_or_chain`, the one caller.  The graph keeps
+        the lists themselves, not copies.
+        """
+        self._out += out_lists
+        self._order = None
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._out):
@@ -194,11 +205,10 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
     The tie-break is kept for speed: the search engine colors in reverse of
     this order, which a FIFO ready list makes slower on deep truncations.
 
-    The order is stored on the graph until :meth:`DiGraph.add_vertex` or
-    :meth:`DiGraph.add_edge` changes it, so sorting an unchanged graph
-    again costs one list copy.  Each call returns a fresh copy, which the
-    caller may mutate.  A cycle is never stored: every call on a cyclic
-    graph sorts and raises again.
+    The order is stored on the graph until a vertex or an edge is added,
+    so sorting an unchanged graph again costs one list copy.  Each call
+    returns a fresh copy, which the caller may mutate.  A cycle is never
+    stored: every call on a cyclic graph sorts and raises again.
     """
     if g._order is not None:
         return g._order.copy()

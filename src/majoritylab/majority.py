@@ -141,23 +141,24 @@ def enumerate_majority_colorings(
             raise ValueError(f"fixed color {c} for vertex {v} outside palette")
     if n == 0:
         return [Coloring(palette_size, ())]
-    # Sinks first: on a DAG every vertex is checkable the moment it is
-    # colored, so a violation prunes at once.  A cycle leaves id order.
+    # Vertex v is checked at the depth where the last of {v} + out(v) is
+    # assigned; it passes while at most half its targets match it.
+    adjacency = g.adjacency
     try:
         order = topological_sort(g)[::-1]
-    except CycleFound:
+    except CycleFound:  # id order: the depth of v is v
         order = list(range(n))
-    depth_of = [0] * n
-    for depth, v in enumerate(order):
-        depth_of[v] = depth
-    # Vertex v becomes checkable at the depth where the last of {v} + out(v)
-    # is assigned; it passes while at most half its targets match it.
-    checks_at: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        targets = tuple(g.out(v))
-        if targets:
-            last = max(depth_of[v], max(depth_of[u] for u in targets))
-            checks_at[last].append((v, targets, len(targets) // 2))
+        checks_at: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+        for v, out in enumerate(adjacency):
+            if out:
+                checks_at[max(v, *out)].append((v, tuple(out), len(out) // 2))
+    else:
+        # Sinks first: on a DAG out(v) is colored before v, so v is checked
+        # at its own depth and a violation prunes at once.
+        checks_at = [
+            [(v, out, len(out) // 2)] if (out := tuple(adjacency[v])) else []
+            for v in order
+        ]
     palette = tuple(range(palette_size))
     choices = [(fixed[v],) if v in fixed else palette for v in order]
     colors = [-1] * n

@@ -110,6 +110,15 @@ class TestLayout:
         with pytest.raises(AttributeError):
             spec.anchor = 0
 
+    @pytest.mark.parametrize("n", [2, 5, 115])
+    def test_path_vertex_is_the_position_less_one(self, n):
+        spec = TruncationSpec(n, {})
+        assert [spec.path_vertex(i) for i in range(1, n + 1)] == list(spec.path)
+        assert spec.path_vertex(n) == n - 1
+        for i in (0, -1, n + 1, 2 * n):
+            with pytest.raises(ValueError, match=f"path position {i} outside 1..{n}"):
+                spec.path_vertex(i)
+
     def test_rejects_tiny_depth(self):
         with pytest.raises(ValueError):
             build_truncation(1)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from majoritylab.errors import TooLarge
 from majoritylab.gadgets import (
     DEFAULT_EXHAUSTION_BOUND,
     GadgetHandle,
+    GadgetStage,
     PrecoloringOutcome,
     SemanticsReport,
     build_or2,
@@ -18,7 +20,7 @@ from majoritylab.gadgets import (
     stage_names,
     verify_or_semantics,
 )
-from majoritylab.graph import DiGraph
+from majoritylab.graph import DiGraph, topological_sort
 from majoritylab.majority import (
     brute_force_majority_colorings,
     enumerate_majority_colorings,
@@ -29,6 +31,28 @@ def fresh_chain(k):
     g = DiGraph(k + 1)
     handle = build_or_chain(g, 0, tuple(range(1, k + 1)))
     return g, handle
+
+
+def reference_chain(g, anchor, inputs):
+    """The chain built one ``add_vertex`` and one ``add_edge`` at a time.
+
+    Each stage creates (neg_left, neg_right, neg_anchor, collector) and
+    adds the negator edges, then the collector's, as the builder lays
+    them out.
+    """
+    stages = []
+    left = inputs[0]
+    for right in inputs[1:]:
+        neg_left, neg_right, neg_anchor, collector = (g.add_vertex() for _ in range(4))
+        g.add_edge(neg_left, left)
+        g.add_edge(neg_right, right)
+        g.add_edge(neg_anchor, anchor)
+        g.add_edge(collector, neg_left)
+        g.add_edge(collector, neg_right)
+        g.add_edge(collector, neg_anchor)
+        stages.append(GadgetStage(left, right, neg_left, neg_right, neg_anchor, collector))
+        left = collector
+    return GadgetHandle(anchor, tuple(stages))
 
 
 def engine_outcomes(g, handle):
@@ -147,6 +171,33 @@ class TestConstruction:
         before = [g.out_degree(v) for v in range(3)]
         build_or_chain(g, 0, (1, 2))
         assert [g.out_degree(v) for v in range(3)] == before
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_batch_matches_one_edge_at_a_time(self, k):
+        # Appended to G_4, which already has vertices and edges, over k
+        # inputs drawn from its non-anchor vertices in a scrambled order.
+        g, spec = build_truncation(4)
+        ref, _ = build_truncation(4)
+        candidates = [v for v in range(g.vertex_count) if v != spec.anchor]
+        inputs = tuple(random.Random(k).sample(candidates, k))
+        handle = build_or_chain(g, spec.anchor, inputs)
+        assert handle == reference_chain(ref, spec.anchor, inputs)
+        assert g.adjacency == ref.adjacency  # each out-list in the same order
+        # The appended lists stay under add_edge's simple-graph rule.
+        stage = handle.stages[-1]
+        with pytest.raises(ValueError, match="already present"):
+            g.add_edge(stage.collector, stage.neg_anchor)
+        with pytest.raises(ValueError, match="already present"):
+            g.add_edge(stage.neg_right, stage.right)
+
+    def test_chain_drops_the_stored_order(self):
+        g, spec = build_truncation(4)
+        topological_sort(g)
+        build_or_chain(g, spec.anchor, (0, 2, 3))
+        fresh = DiGraph(g.vertex_count)
+        for u, v in g.sorted_edges():
+            fresh.add_edge(u, v)
+        assert topological_sort(g) == topological_sort(fresh)
 
 
 class TestHandleShape:

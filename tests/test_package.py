@@ -105,8 +105,9 @@ class TestPublicSurface:
 
     def test_only_graph_touches_the_adjacency_lists(self):
         # DiGraph's set index of long out-lists and its stored topological
-        # order are right only while add_edge, add_vertex and the edge
-        # loader in graph.py are the only writers.
+        # order are right only while add_edge, add_vertex, the edge loader
+        # and the OR chain's batch append (_append_simple) in graph.py are
+        # the only writers.
         found = []
         for path in sorted((SRC / "majoritylab").glob("*.py")):
             if path.name == "graph.py":
@@ -116,6 +117,20 @@ class TestPublicSurface:
                     "_out", "_long", "_order"
                 ):
                     found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        assert found == []
+
+    def test_only_the_chain_builder_appends_unchecked(self):
+        # DiGraph._append_simple checks no edge: only build_or_chain in
+        # gadgets.py, whose lists are simple by construction, may call it.
+        found = []
+        for path in sorted((SRC / "majoritylab").glob("*.py")):
+            if path.name == "gadgets.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and (
+                    ast.unparse(node.func).rpartition(".")[2] == "_append_simple"
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
     def test_only_majority_builds_a_report_directly(self):
