@@ -16,6 +16,7 @@ process runs the code of only the modules its own subcommand uses:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -26,6 +27,9 @@ from . import gadgets, graph, infinite, majority, multigraph
 from .errors import MajorityLabError, ParseError, SweepFailure, TooLarge
 
 PROG = "majoritylab"
+
+# A record field: int() would also read "1_0", "+1" and non-ASCII digits.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def _bool_text(b: bool) -> str:
@@ -62,8 +66,10 @@ def _line_records(text: str, shape: str, count: str) -> Iterator[tuple[int, list
         if len(parts) != width:
             raise ParseError(f"line {lineno}: expected '{shape}'")
         try:
+            if not all(map(_INTEGER_RE.fullmatch, parts)):
+                raise ValueError
             fields = [int(p) for p in parts]
-        except ValueError:
+        except ValueError:  # not -?[0-9]+, or past int()'s digit limit
             raise ParseError(f"line {lineno}: expected {count} integers") from None
         yield lineno, fields
 

@@ -54,7 +54,8 @@ class GadgetHandle(_GadgetHandleFields):
     Stage s ORs the previous stage's collector with input s+1, so the
     inputs, the output and the internal vertices all follow from the
     stages; the constructor, ``_make`` and ``_replace`` reject stages that
-    do not form such a chain.
+    do not form such a chain.  Only :func:`build_or_chain` skips the
+    check, for the handles and stages it lays out itself.
     """
 
     __slots__ = ()
@@ -152,7 +153,8 @@ def build_or_chain(
     edges.  Each stage creates its fresh vertices in the order
     (neg_left, neg_right, neg_anchor, collector); the last collector is
     the output.  All arguments, and the size cap, are checked first; then
-    the chain, simple by construction, is appended in one batch.
+    the chain, simple by construction, is appended in one batch, and its
+    handle is built without the constructor's re-check.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
@@ -168,16 +170,17 @@ def build_or_chain(
     for v in (anchor, *inputs):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} does not exist")
+    # Each left input is the previous collector and fresh ids start past n.
     stages: list[GadgetStage] = []
     out_lists: list[list[VertexId]] = []
     left = inputs[0]
     for right in inputs[1:]:
-        stages.append(GadgetStage(left, right, n, n + 1, n + 2, n + 3))
+        stages.append(tuple.__new__(GadgetStage, (left, right, n, n + 1, n + 2, n + 3)))
         out_lists += ([left], [right], [anchor], [n, n + 1, n + 2])
         left = n + 3
         n += 4
     g._append_simple(out_lists)
-    return GadgetHandle(anchor, tuple(stages))
+    return tuple.__new__(GadgetHandle, (anchor, tuple(stages)))
 
 
 def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:

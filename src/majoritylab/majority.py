@@ -124,11 +124,16 @@ def enumerate_majority_colorings(
     when a depth's iterator runs out.  It assigns vertices in reverse
     topological order (id order when the graph has a cycle) and prunes a
     branch as soon as some vertex with all out-neighbors assigned fails
-    the majority condition; the solutions are then sorted and wrapped
-    without a second palette check.  Solutions that would hold more than
-    ``MAX_STORED_COLORS`` vertex colors in all raise ``TooLarge`` rather
-    than fill memory.  The forced-extension rule of the OR gadgets is not
-    consulted here: the tests keep it as an independent cross-check.
+    the majority condition.  A vertex whose out-neighbors are all
+    assigned before it (every vertex of a DAG) is checked on each
+    candidate color before that color is stored; on a cycle, the check
+    of a vertex with a later out-neighbor is deferred to that neighbor's
+    depth and runs once its color is stored.  The solutions are sorted
+    and wrapped without a second palette check.  Solutions that would
+    hold more than ``MAX_STORED_COLORS`` vertex colors in all raise
+    ``TooLarge`` rather than fill memory.  The forced-extension rule of
+    the OR gadgets is not consulted here: the tests keep it as an
+    independent cross-check.
     """
     if palette_size < 1:
         raise ValueError("palette_size must be positive")
@@ -142,23 +147,31 @@ def enumerate_majority_colorings(
     if n == 0:
         return [Coloring(palette_size, ())]
     # Vertex v is checked at the depth where the last of {v} + out(v) is
-    # assigned; it passes while at most half its targets match it.
+    # assigned; it passes while at most half its targets match it.  When
+    # that last vertex is v itself, the check runs on each candidate color
+    # before it is stored (targets_at, half_at); otherwise, only on a cycle,
+    # it is deferred to that vertex and runs after its store (later).
     adjacency = g.adjacency
     try:
         order = topological_sort(g)[::-1]
     except CycleFound:  # id order: the depth of v is v
         order = list(range(n))
-        checks_at: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+        targets_at: list[tuple[int, ...]] = [()] * n
+        half_at = [0] * n
+        later: list[Sequence[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
         for v, out in enumerate(adjacency):
             if out:
-                checks_at[max(v, *out)].append((v, tuple(out), len(out) // 2))
+                last = max(v, *out)
+                if last == v:
+                    targets_at[v], half_at[v] = tuple(out), len(out) // 2
+                else:
+                    later[last].append((v, tuple(out), len(out) // 2))
     else:
-        # Sinks first: on a DAG out(v) is colored before v, so v is checked
-        # at its own depth and a violation prunes at once.
-        checks_at = [
-            [(v, out, len(out) // 2)] if (out := tuple(adjacency[v])) else []
-            for v in order
-        ]
+        # Sinks first: on a DAG out(v) is colored before v, so every check
+        # is v's own and none is deferred.
+        targets_at = [tuple(adjacency[v]) for v in order]
+        half_at = [len(targets) // 2 for targets in targets_at]
+        later = [()] * n
     palette = tuple(range(palette_size))
     choices = [(fixed[v],) if v in fixed else palette for v in order]
     colors = [-1] * n
@@ -172,17 +185,25 @@ def enumerate_majority_colorings(
     depth = 0
     while depth >= 0:
         v = order[depth]
-        checks = checks_at[depth]
+        targets = targets_at[depth]
+        half = half_at[depth]
         for c in tries[depth]:
+            # monochromatic() inlined, on the candidate: this loop is the
+            # engine's hot path.
+            mono = 0
+            for u in targets:
+                if colors[u] == c:
+                    mono += 1
+            if mono > half:
+                continue
             colors[v] = c
-            # monochromatic() inlined: this loop is the engine's hot path.
-            for w, targets, half in checks:
+            for w, outs, h in later[depth]:
                 cw = colors[w]
                 mono = 0
-                for u in targets:
+                for u in outs:
                     if colors[u] == cw:
                         mono += 1
-                if mono > half:
+                if mono > h:
                     break
             else:
                 if depth < deepest:

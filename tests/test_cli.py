@@ -478,10 +478,22 @@ class TestLineRecords:
             ("coloring", "# c\n\n0\n", "line 3: expected 'vertex color'"),
             ("coloring", "0 0\n1 x\n", "line 2: expected two integers"),
             ("coloring", "  # c\n0 1.0\n", "line 2: expected two integers"),
+            ("coloring", "0 1_0\n", "line 1: expected two integers"),
+            ("coloring", "0 0\n1 \u0660\n", "line 2: expected two integers"),
+            ("coloring", "0 +1\n", "line 1: expected two integers"),
+            ("coloring", "\uff10 0\n", "line 1: expected two integers"),
+            ("coloring", "0 --1\n", "line 1: expected two integers"),
+            ("coloring", "0 \u00b9\n", "line 1: expected two integers"),
+            ("coloring", "0 0\n1 -1\n", "line 2: color -1 is negative"),
             ("multigraph", "0 1\n", "line 1: expected 'u v w'"),
             ("multigraph", "# c\n\n0 1 2 3\n", "line 3: expected 'u v w'"),
             ("multigraph", "0 1 x\n", "line 1: expected three integers"),
             ("multigraph", "\n0 1 1\n#\n0 2 1e3\n", "line 4: expected three integers"),
+            ("multigraph", "0 1 \u0663\n", "line 1: expected three integers"),
+            ("multigraph", "0 1 1_0\n", "line 1: expected three integers"),
+            ("multigraph", "0 +1 1\n", "line 1: expected three integers"),
+            ("multigraph", "0 1 -\n", "line 1: expected three integers"),
+            ("multigraph", "0 -1 1\n", "line 1: vertex ids must be non-negative"),
             ("multigraph", "0 1 1\n2 2 1\n", "line 2: self-loop (2, 2) rejected"),
         ],
     )

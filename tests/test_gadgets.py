@@ -236,6 +236,28 @@ class TestHandleShape:
         with pytest.raises(ValueError, match="at least one stage"):
             build(handle, ())
 
+    # build_or_chain builds its handles without the constructor's check;
+    # each must still be one the constructor accepts, with exact types.
+    @staticmethod
+    def assert_checked_equal(handle):
+        assert type(handle) is GadgetHandle
+        assert all(type(stage) is GadgetStage for stage in handle.stages)
+        assert type(handle.stages) is tuple
+        rebuilt = GadgetHandle(handle.anchor, handle.stages)
+        assert handle == rebuilt and type(rebuilt) is GadgetHandle
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_built_chain_passes_the_check(self, k):
+        _, handle = fresh_chain(k)
+        self.assert_checked_equal(handle)
+        assert len(handle.stages) == k - 1
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_registry_handles_pass_the_check(self, n):
+        _, spec = build_truncation(n)
+        for handle in spec.gadget_registry.values():
+            self.assert_checked_equal(handle)
+
     def test_handle_is_read_only(self):
         _, handle = fresh_chain(2)
         with pytest.raises(AttributeError):

@@ -285,6 +285,30 @@ class TestEnumerate:
         expected = [c.colors for c in oracle if c.colors[pinned] == color]
         assert [c.colors for c in fixed] == expected
 
+    # Fixed cyclic graphs, searched in id order.  In each, some vertex has
+    # an out-neighbor of larger id, so its check is deferred to that
+    # neighbor's depth; in the first, every check is.
+    DEFERRED = {
+        "3-cycle, exit from its last vertex": [(0, 1), (1, 2), (2, 0), (2, 3)],
+        "3-cycle, exit from its first vertex": [(0, 1), (1, 2), (2, 0), (0, 3)],
+        "3-cycle against id order": [(0, 2), (2, 1), (1, 0)],
+        "two checks deferred to one depth": [(0, 3), (1, 3), (3, 0), (3, 1), (2, 1)],
+        "4-cycle with a shared exit": [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (3, 4)],
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("edges", DEFERRED.values(), ids=DEFERRED)
+    def test_deferred_checks_match_brute_force(self, edges, k):
+        g = DiGraph(1 + max(map(max, edges)))
+        for u, v in edges:
+            g.add_edge(u, v)
+        oracle = [c.colors for c in brute_force_majority_colorings(g, k)]
+        assert [c.colors for c in enumerate_majority_colorings(g, k)] == oracle
+        for pinned, color in itertools.product(range(g.vertex_count), range(k)):
+            fixed = enumerate_majority_colorings(g, k, fixed={pinned: color})
+            expected = [c for c in oracle if c[pinned] == color]
+            assert [c.colors for c in fixed] == expected
+
     @given(dags(max_vertices=9))
     @settings(max_examples=30)
     def test_bitmask_brute_force_matches_generic(self, g):

@@ -133,6 +133,25 @@ class TestPublicSurface:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
+    def test_only_the_chain_builder_skips_the_handle_check(self):
+        # tuple.__new__ on GadgetHandle or GadgetStage skips the handle's
+        # stage check: only build_or_chain in gadgets.py, whose stages link
+        # and whose fresh ids are new by construction, may build them so.
+        found = []
+        for path in sorted((SRC / "majoritylab").glob("*.py")):
+            if path.name == "gadgets.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rpartition(".")[2] == "__new__"
+                    and node.args
+                    and ast.unparse(node.args[0]).rpartition(".")[2]
+                    in ("GadgetHandle", "GadgetStage")
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     def test_only_majority_builds_a_report_directly(self):
         # DeficiencyReport.from_counts is where the first-violation rule
         # lives; any other module builds its reports through it.
