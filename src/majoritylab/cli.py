@@ -28,8 +28,14 @@ from .errors import MajorityLabError, ParseError, SweepFailure, TooLarge
 
 PROG = "majoritylab"
 
-# A record field: int() would also read "1_0", "+1" and non-ASCII digits.
+# An integer field: int() alone would also read "1_0", "+1" and non-ASCII digits.
 _INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _integers(parts: list[str]) -> list[int]:
+    if not all(map(_INTEGER_RE.fullmatch, parts)):
+        raise ValueError
+    return [int(p) for p in parts]  # ValueError past int()'s digit limit
 
 
 def _bool_text(b: bool) -> str:
@@ -66,10 +72,8 @@ def _line_records(text: str, shape: str, count: str) -> Iterator[tuple[int, list
         if len(parts) != width:
             raise ParseError(f"line {lineno}: expected '{shape}'")
         try:
-            if not all(map(_INTEGER_RE.fullmatch, parts)):
-                raise ValueError
-            fields = [int(p) for p in parts]
-        except ValueError:  # not -?[0-9]+, or past int()'s digit limit
+            fields = _integers(parts)
+        except ValueError:
             raise ParseError(f"line {lineno}: expected {count} integers") from None
         yield lineno, fields
 
@@ -125,10 +129,8 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
 
 
 def _parse_id_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
     try:
-        return [int(p) for p in text.split(",")]
+        return _integers([p.strip() for p in text.split(",")]) if text.strip() else []
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 

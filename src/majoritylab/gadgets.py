@@ -7,8 +7,8 @@ the color opposite its target.  The collector points at the three
 negators; with out-degree 3 at most one of those edges may be
 monochromatic, which pins the collector to the minority color of its
 targets - exactly the truth value x OR y.  Chains extend this to k
-inputs one stage at a time: each new stage ORs the previous output with
-the next input.
+inputs one stage at a time, each ORing the previous output with the next
+input; a built chain is its anchor, its inputs and its first fresh id.
 
 Whether this topology really forces OR is never assumed: it is checked
 by :func:`verify_or_semantics`, which exhaustively enumerates every
@@ -45,47 +45,47 @@ class GadgetStage(NamedTuple):
 
 class _GadgetHandleFields(NamedTuple):
     anchor: VertexId
-    stages: tuple[GadgetStage, ...]
+    inputs: tuple[VertexId, ...]
+    first: VertexId
 
 
 class GadgetHandle(_GadgetHandleFields):
-    """A built OR chain: its anchor and its binary stages, in order.
+    """A built OR chain: its anchor, its k >= 2 inputs and its first fresh id.
 
-    Stage s ORs the previous stage's collector with input s+1, so the
-    inputs, the output and the internal vertices all follow from the
-    stages; the constructor, ``_make`` and ``_replace`` reject stages that
-    do not form such a chain.  Only :func:`build_or_chain` skips the
-    check, for the handles and stages it lays out itself.
+    Stage s ORs the previous collector with input s+1 and owns the fresh
+    ids first+4s .. first+4s+3, so the stages, the output and the internal
+    vertices all follow.  ``_make`` and ``_replace`` go through the
+    constructor, which stores the inputs as a tuple and refuses fewer than two.
     """
 
     __slots__ = ()
 
-    def __new__(cls, anchor: VertexId, stages: tuple[GadgetStage, ...]) -> "GadgetHandle":
-        if not stages:
+    def __new__(cls, anchor: VertexId, inputs: Iterable, first: VertexId) -> "GadgetHandle":
+        inputs = tuple(inputs)
+        if len(inputs) < 2:
             raise ValueError("a gadget needs at least one stage")
-        for prev, stage in zip(stages, stages[1:]):
-            if stage.left != prev.collector:
-                raise ValueError("a stage's left input is not the previous collector")
-        fresh = [v for stage in stages for v in stage.fresh]
-        if len(set(fresh)) != len(fresh):
-            raise ValueError("a fresh vertex id repeats across stages")
-        return tuple.__new__(cls, (anchor, stages))
+        return tuple.__new__(cls, (anchor, inputs, first))
 
     @classmethod
     def _make(cls, fields: Iterable) -> "GadgetHandle":
         return cls(*fields)
 
     @property
-    def inputs(self) -> tuple[VertexId, ...]:
-        return (self.stages[0].left, *(s.right for s in self.stages))
+    def stages(self) -> tuple[GadgetStage, ...]:
+        stages = []
+        left = self.inputs[0]
+        for right, v in zip(self.inputs[1:], range(self.first, self.output, 4)):
+            stages.append(GadgetStage(left, right, v, v + 1, v + 2, v + 3))
+            left = v + 3
+        return tuple(stages)
 
     @property
     def output(self) -> VertexId:
-        return self.stages[-1].collector
+        return self.first + 4 * len(self.inputs) - 5
 
     @property
     def internal(self) -> frozenset[VertexId]:
-        return frozenset(v for stage in self.stages for v in stage.fresh)
+        return frozenset(range(self.first, self.output + 1))
 
     @property
     def internal_order(self) -> tuple[VertexId, ...]:
@@ -95,8 +95,9 @@ class GadgetHandle(_GadgetHandleFields):
         negator points at the previous collector; the right and anchor
         negators, with no internal out-edge, follow stage by stage.
         """
-        back = (v for s in reversed(self.stages) for v in (s.collector, s.neg_left))
-        rest = (v for s in self.stages for v in (s.neg_right, s.neg_anchor))
+        starts = range(self.first, self.output, 4)
+        back = (v for s in reversed(starts) for v in (s + 3, s))
+        rest = (v for s in starts for v in (s + 1, s + 2))
         return (*back, *rest)
 
     @property
@@ -153,8 +154,7 @@ def build_or_chain(
     edges.  Each stage creates its fresh vertices in the order
     (neg_left, neg_right, neg_anchor, collector); the last collector is
     the output.  All arguments, and the size cap, are checked first; then
-    the chain, simple by construction, is appended in one batch, and its
-    handle is built without the constructor's re-check.
+    the chain, simple by construction, is appended in one batch.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
@@ -170,17 +170,14 @@ def build_or_chain(
     for v in (anchor, *inputs):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} does not exist")
-    # Each left input is the previous collector and fresh ids start past n.
-    stages: list[GadgetStage] = []
+    # Each left input is the previous collector and fresh ids start at n.
     out_lists: list[list[VertexId]] = []
     left = inputs[0]
-    for right in inputs[1:]:
-        stages.append(tuple.__new__(GadgetStage, (left, right, n, n + 1, n + 2, n + 3)))
-        out_lists += ([left], [right], [anchor], [n, n + 1, n + 2])
-        left = n + 3
-        n += 4
+    for right, v in zip(inputs[1:], range(n, size, 4)):
+        out_lists += ([left], [right], [anchor], [v, v + 1, v + 2])
+        left = v + 3
     g._append_simple(out_lists)
-    return tuple.__new__(GadgetHandle, (anchor, tuple(stages)))
+    return GadgetHandle(anchor, inputs, n)
 
 
 def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:

@@ -539,6 +539,21 @@ class TestLineRecords:
         assert out.splitlines() == ["0 1", "1 0"]
 
 
+class TestIdLists:
+    """--free and --support: comma-separated fields, each -?[0-9]+ once stripped."""
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "+1", "\uff13", "\u0662,1_0", " 1 , 2"])
+    @pytest.mark.parametrize("flag, argv, good", [
+        ("--free", ["majority", "enumerate", "GRAPH", "--colors", "2"], (0, "0 1\n1 0\n")),
+        ("--support", ["infinite", "check", "--mode", "true"], (1, "verdict,witness\nviolation,1\n")),
+    ], ids=["free", "support"])
+    def test_only_ascii_integers_are_read(self, path_graph_file, flag, argv, good, value):
+        argv = [str(path_graph_file) if a == "GRAPH" else a for a in argv]
+        bad = (2, "", f"error: expected comma-separated integers, got {value!r}\n")
+        # Spaces around a field are stripped, so " 1 , 2" reads vertices 1 and 2.
+        assert run([*argv, flag, value]) == ((*good, "") if value == " 1 , 2" else bad)
+
+
 class TestGraphConvert:
     def test_text_to_dot_and_back(self, path_graph_file, tmp_path):
         code, dot, _ = run(["graph", "convert", str(path_graph_file), "--to", "dot"])

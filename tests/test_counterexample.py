@@ -80,10 +80,8 @@ class TestLayout:
         next_id = spec.anchor + 1
         for key in sorted(spec.gadget_registry):
             handle = spec.gadget_registry[key]
-            block = sorted(handle.internal)
-            assert block[0] == next_id
-            assert block == list(range(next_id, next_id + len(block)))
-            next_id = block[-1] + 1
+            assert sorted(handle.internal) == list(range(next_id, handle.output + 1))
+            next_id = handle.output + 1
 
     def test_out_degree_formula(self):
         for n in range(2, 9):

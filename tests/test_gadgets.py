@@ -38,7 +38,7 @@ def reference_chain(g, anchor, inputs):
 
     Each stage creates (neg_left, neg_right, neg_anchor, collector) and
     adds the negator edges, then the collector's, as the builder lays
-    them out.
+    them out.  Returns its stages: a record independent of the handle's.
     """
     stages = []
     left = inputs[0]
@@ -52,7 +52,7 @@ def reference_chain(g, anchor, inputs):
         g.add_edge(collector, neg_anchor)
         stages.append(GadgetStage(left, right, neg_left, neg_right, neg_anchor, collector))
         left = collector
-    return GadgetHandle(anchor, tuple(stages))
+    return tuple(stages)
 
 
 def engine_outcomes(g, handle):
@@ -181,8 +181,16 @@ class TestConstruction:
         candidates = [v for v in range(g.vertex_count) if v != spec.anchor]
         inputs = tuple(random.Random(k).sample(candidates, k))
         handle = build_or_chain(g, spec.anchor, inputs)
-        assert handle == reference_chain(ref, spec.anchor, inputs)
+        stages = reference_chain(ref, spec.anchor, inputs)
         assert g.adjacency == ref.adjacency  # each out-list in the same order
+        assert (handle.anchor, handle.inputs) == (spec.anchor, inputs)
+        assert handle.stages == stages
+        assert handle.output == stages[-1].collector
+        assert handle.internal == frozenset(v for s in stages for v in s.fresh)
+        assert handle.internal_order == (
+            *(v for s in reversed(stages) for v in (s.collector, s.neg_left)),
+            *(v for s in stages for v in (s.neg_right, s.neg_anchor)),
+        )
         # The appended lists stay under add_edge's simple-graph rule.
         stage = handle.stages[-1]
         with pytest.raises(ValueError, match="already present"):
@@ -201,67 +209,52 @@ class TestConstruction:
 
 
 class TestHandleShape:
-    def test_handle_holds_anchor_and_stages_only(self):
-        assert GadgetHandle._fields == ("anchor", "stages")
+    def test_handle_holds_anchor_inputs_and_first_only(self):
+        assert GadgetHandle._fields == ("anchor", "inputs", "first")
 
     def test_members(self):
         _, handle = fresh_chain(3)
         assert handle.members == frozenset(range(4)) | handle.internal
 
     def test_empty_stages_rejected(self):
-        with pytest.raises(ValueError, match="at least one stage"):
-            GadgetHandle(0, ())
-
-    def test_reversed_stages_rejected(self):
-        _, handle = fresh_chain(3)
-        with pytest.raises(ValueError, match="previous collector"):
-            GadgetHandle(handle.anchor, handle.stages[::-1])
-
-    def test_repeated_fresh_id_rejected(self):
-        _, handle = fresh_chain(3)
-        first, second = handle.stages
-        clash = second._replace(neg_right=first.neg_left)
-        with pytest.raises(ValueError, match="repeats"):
-            GadgetHandle(handle.anchor, (first, clash))
+        for inputs in ((), (1,)):
+            with pytest.raises(ValueError, match="at least one stage"):
+                GadgetHandle(0, inputs, 2)
 
     @pytest.mark.parametrize("build", [
-        lambda h, stages: GadgetHandle(h.anchor, stages),
-        lambda h, stages: GadgetHandle._make((h.anchor, stages)),
-        lambda h, stages: h._replace(stages=stages),
+        lambda h, inputs: GadgetHandle(h.anchor, inputs, h.first),
+        lambda h, inputs: GadgetHandle._make((h.anchor, inputs, h.first)),
+        lambda h, inputs: h._replace(inputs=inputs),
     ], ids=["constructor", "_make", "_replace"])
     def test_every_way_in_checks_the_stages(self, build):
         _, handle = fresh_chain(3)
-        with pytest.raises(ValueError, match="previous collector"):
-            build(handle, handle.stages[::-1])
         with pytest.raises(ValueError, match="at least one stage"):
-            build(handle, ())
-
-    # build_or_chain builds its handles without the constructor's check;
-    # each must still be one the constructor accepts, with exact types.
-    @staticmethod
-    def assert_checked_equal(handle):
-        assert type(handle) is GadgetHandle
-        assert all(type(stage) is GadgetStage for stage in handle.stages)
-        assert type(handle.stages) is tuple
-        rebuilt = GadgetHandle(handle.anchor, handle.stages)
-        assert handle == rebuilt and type(rebuilt) is GadgetHandle
+            build(handle, (1,))
+        rebuilt = build(handle, list(handle.inputs))  # a list is stored as a tuple
+        assert rebuilt == handle and type(rebuilt.inputs) is tuple
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_built_chain_passes_the_check(self, k):
+        # Fresh ids start at the graph's old vertex count.
         _, handle = fresh_chain(k)
-        self.assert_checked_equal(handle)
-        assert len(handle.stages) == k - 1
+        assert type(handle) is GadgetHandle and GadgetHandle(*handle) == handle
+        assert (handle.first, len(handle.stages)) == (k + 1, k - 1)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_registry_handles_pass_the_check(self, n):
-        _, spec = build_truncation(n)
+        # Each handle's ids begin right after the previous handle's (the
+        # first's right after the path and the anchor), as G_n is laid out.
+        g, spec = build_truncation(n)
+        end = n + 1
         for handle in spec.gadget_registry.values():
-            self.assert_checked_equal(handle)
+            assert handle.first == min(handle.internal) == end
+            end = handle.output + 1
+        assert end == g.vertex_count
 
     def test_handle_is_read_only(self):
         _, handle = fresh_chain(2)
         with pytest.raises(AttributeError):
-            handle.stages = ()
+            handle.first = 0
         with pytest.raises(AttributeError):
             handle.note = "x"
 
@@ -272,8 +265,8 @@ class TestHandleShape:
 
     def test_prefix_of_stages_is_a_shorter_chain(self):
         _, handle = fresh_chain(4)
-        short = handle._replace(stages=handle.stages[:2])
-        assert short.inputs == (1, 2, 3)
+        short = handle._replace(inputs=handle.inputs[:3])
+        assert short.stages == handle.stages[:2]
         assert short.output == handle.stages[1].collector
         assert len(short.internal) == 8
 

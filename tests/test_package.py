@@ -46,6 +46,23 @@ NO_MODULE_ATTR = {
 }
 
 
+def _package_nodes(skip=""):
+    """``(file name, node)`` for every AST node of every package module but ``skip``."""
+    for path in sorted((SRC / "majoritylab").glob("*.py")):
+        if path.name != skip:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
+def _calls_to(callee, skip):
+    """Where a package module other than ``skip`` calls something named ``callee``."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes(skip)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == callee
+    ]
+
+
 class TestPublicSurface:
     def test_all_is_pinned(self):
         assert len(PUBLIC) == 56
@@ -90,17 +107,14 @@ class TestPublicSurface:
         # at any depth of a module other than errors.py, fails this scan.
         errors = importlib.import_module("majoritylab.errors")
         found = []
-        for path in sorted((SRC / "majoritylab").glob("*.py")):
-            if path.name == "errors.py":
+        for name, node in _package_nodes(skip="errors.py"):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for base in node.bases:
-                    name = ast.unparse(base).rpartition(".")[2]
-                    value = getattr(builtins, name, None) or getattr(errors, name, None)
-                    if isinstance(value, type) and issubclass(value, BaseException):
-                        found.append(f"{path.name}: {node.name}")
+            for base in node.bases:
+                base_name = ast.unparse(base).rpartition(".")[2]
+                value = getattr(builtins, base_name, None) or getattr(errors, base_name, None)
+                if isinstance(value, type) and issubclass(value, BaseException):
+                    found.append(f"{name}: {node.name}")
         assert found == []
 
     def test_only_graph_touches_the_adjacency_lists(self):
@@ -108,63 +122,42 @@ class TestPublicSurface:
         # order are right only while add_edge, add_vertex, the edge loader
         # and the OR chain's batch append (_append_simple) in graph.py are
         # the only writers.
-        found = []
-        for path in sorted((SRC / "majoritylab").glob("*.py")):
-            if path.name == "graph.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and node.attr in (
-                    "_out", "_long", "_order"
-                ):
-                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        found = [
+            f"{name}:{node.lineno}: .{node.attr}"
+            for name, node in _package_nodes(skip="graph.py")
+            if isinstance(node, ast.Attribute) and node.attr in ("_out", "_long", "_order")
+        ]
         assert found == []
 
     def test_only_the_chain_builder_appends_unchecked(self):
         # DiGraph._append_simple checks no edge: only build_or_chain in
         # gadgets.py, whose lists are simple by construction, may call it.
-        found = []
-        for path in sorted((SRC / "majoritylab").glob("*.py")):
-            if path.name == "gadgets.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and (
-                    ast.unparse(node.func).rpartition(".")[2] == "_append_simple"
-                ):
-                    found.append(f"{path.name}:{node.lineno}")
-        assert found == []
+        assert _calls_to("_append_simple", skip="gadgets.py") == []
 
-    def test_only_the_chain_builder_skips_the_handle_check(self):
-        # tuple.__new__ on GadgetHandle or GadgetStage skips the handle's
-        # stage check: only build_or_chain in gadgets.py, whose stages link
-        # and whose fresh ids are new by construction, may build them so.
+    def test_no_module_skips_the_handle_constructor(self):
+        # A __new__ beside GadgetHandle or GadgetStage in one call, as in
+        # tuple.__new__(GadgetStage, ...) or map(tuple.__new__,
+        # repeat(GadgetHandle), ...), builds a record without its
+        # constructor's check; no module may, gadgets.py included.
         found = []
-        for path in sorted((SRC / "majoritylab").glob("*.py")):
-            if path.name == "gadgets.py":
+        for name, node in _package_nodes():
+            if not isinstance(node, ast.Call):
                 continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (
-                    isinstance(node, ast.Call)
-                    and ast.unparse(node.func).rpartition(".")[2] == "__new__"
-                    and node.args
-                    and ast.unparse(node.args[0]).rpartition(".")[2]
-                    in ("GadgetHandle", "GadgetStage")
-                ):
-                    found.append(f"{path.name}:{node.lineno}")
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if {"GadgetHandle", "GadgetStage"} & names and any(
+                isinstance(e, ast.Attribute) and e.attr == "__new__"
+                for e in (node.func, *node.args)
+            ):
+                found.append(f"{name}:{node.lineno}")
         assert found == []
 
     def test_only_majority_builds_a_report_directly(self):
         # DeficiencyReport.from_counts is where the first-violation rule
         # lives; any other module builds its reports through it.
-        found = []
-        for path in sorted((SRC / "majoritylab").glob("*.py")):
-            if path.name == "majority.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and (
-                    ast.unparse(node.func).rpartition(".")[2] == "DeficiencyReport"
-                ):
-                    found.append(f"{path.name}:{node.lineno}")
-        assert found == []
+        assert _calls_to("DeficiencyReport", skip="majority.py") == []
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
