@@ -130,9 +130,15 @@ def _parse_multigraph(text: str) -> multigraph.WeightedMultigraph:
 
 def _parse_id_list(text: str) -> list[int]:
     try:
-        return _integers([p.strip() for p in text.split(",")]) if text.strip() else []
+        ids = _integers([p.strip() for p in text.split(",")]) if text.strip() else []
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+    seen: set[int] = set()
+    for v in ids:
+        if v in seen:
+            raise ParseError(f"id {v} is repeated in {text!r}")
+        seen.add(v)
+    return ids
 
 
 def _isolated_chain(k: int) -> tuple[graph.DiGraph, gadgets.GadgetHandle, dict[int, str]]:

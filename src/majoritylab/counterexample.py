@@ -10,7 +10,8 @@ The vertex layout is deterministic: path vertices take ids 0..n-1
 (v_i -> i-1), the anchor takes id n, and gadget vertices follow in
 lexicographic (i, j) registry order, stages left to right, each stage in
 (neg_left, neg_right, neg_anchor, collector) order.  Serialized
-truncations are therefore byte-identical across runs.
+truncations are therefore byte-identical across runs.  G_n is laid out
+in that order and appended in one batch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import TooLarge
-from .gadgets import GadgetHandle, build_or_chain, forced_extension, stage_names
+from .gadgets import GadgetHandle, _lay_out_chain, forced_extension, stage_names
 from .graph import MAX_VERTICES, DiGraph, VertexId
 
 SigmaLabeling = dict[VertexId, tuple[int, int, int]]
@@ -64,21 +65,31 @@ def check_truncation_size(n: int) -> None:
 
 
 def build_truncation(n: int) -> tuple[DiGraph, TruncationSpec]:
-    """Build G_n for n >= 2; it has n + 1 + 4 C(n, 3) vertices."""
+    """Build G_n for n >= 2; it has n + 1 + 4 C(n, 3) vertices.
+
+    After the depth and size checks every out-list is laid out in id order
+    and appended in one unchecked batch: each window's inputs are distinct
+    path ids below the anchor, and no list repeats a target.
+    """
     if n < 2:
         raise ValueError("truncation depth must be at least 2")
     check_truncation_size(n)
-    spec = TruncationSpec(n, {})
-    path = spec.path
-    g = DiGraph(n + 1)  # the path, then the anchor
-    for u, v in zip(path, path[1:]):
-        g.add_edge(u, v)
+    anchor = n
+    # Path ids 0..n-2 point at their successor; v_n and the anchor are sinks.
+    out_lists: list[list[VertexId]] = [[v + 1] for v in range(n - 1)]
+    out_lists += ([], [])
+    registry: dict[tuple[int, int], GadgetHandle] = {}
     for i in range(2, n):
+        hookups = out_lists[i - 2]  # v_{i-1}'s list
         for j in range(i + 1, n + 1):
-            handle = build_or_chain(g, spec.anchor, path[i - 1 : j])
-            g.add_edge(path[i - 2], handle.output)  # hookup from v_{i-1}
-            spec.gadget_registry[(i, j)] = handle
-    return g, spec
+            first = len(out_lists)
+            inputs = tuple(range(i - 1, j))
+            _lay_out_chain(out_lists, anchor, inputs, first)
+            hookups.append(len(out_lists) - 1)  # the chain's output
+            registry[(i, j)] = GadgetHandle(anchor, inputs, first)
+    g = DiGraph()
+    g._append_simple(out_lists)
+    return g, TruncationSpec(n, registry)
 
 
 def truncation_extension(g: DiGraph, spec: TruncationSpec):
@@ -129,20 +140,25 @@ def verify_sigma(
 ) -> SigmaCheckResult:
     """Check that labels strictly increase along every non-anchor edge.
 
-    Edges into the anchor only require a labeled source.  The first
-    violating edge in (source, target) lexicographic order is reported.
+    Edges into the anchor only require a labeled source; an edge out of
+    it always fails.  The first violating edge in (source, target)
+    lexicographic order is reported: the first failing source in one
+    pass over the out-lists, and its smallest failing target.
     """
     anchor = spec.anchor
     for v in range(g.vertex_count):
         if v != anchor and v not in labels:
             raise ValueError(f"labeling is not total: vertex {v} has no label")
-    for u, v in g.sorted_edges():
+    for u, targets in enumerate(g.adjacency):
         if u == anchor:
-            return SigmaCheckResult((u, v))
-        if v == anchor:
-            continue  # source label existence already established
-        if not labels[u] < labels[v]:
-            return SigmaCheckResult((u, v))
+            if targets:
+                return SigmaCheckResult((u, min(targets)))
+            continue
+        low = labels[u]
+        for v in targets:
+            if v != anchor and not low < labels[v]:
+                bad = min(t for t in targets if t != anchor and not low < labels[t])
+                return SigmaCheckResult((u, bad))
     return SigmaCheckResult(None)
 
 

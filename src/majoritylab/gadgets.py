@@ -170,14 +170,27 @@ def build_or_chain(
     for v in (anchor, *inputs):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} does not exist")
-    # Each left input is the previous collector and fresh ids start at n.
     out_lists: list[list[VertexId]] = []
-    left = inputs[0]
-    for right, v in zip(inputs[1:], range(n, size, 4)):
-        out_lists += ([left], [right], [anchor], [v, v + 1, v + 2])
-        left = v + 3
+    _lay_out_chain(out_lists, anchor, inputs, n)
     g._append_simple(out_lists)
     return GadgetHandle(anchor, inputs, n)
+
+
+def _lay_out_chain(
+    out_lists: list[list[VertexId]],
+    anchor: VertexId,
+    inputs: Sequence[VertexId],
+    first: VertexId,
+) -> None:
+    """Extend ``out_lists`` by the chain's 4(k-1) out-lists, fresh ids from ``first``.
+
+    Stage s's lists are (neg_left, neg_right, neg_anchor, collector); each
+    left input is the previous collector.  Nothing is checked.
+    """
+    left = inputs[0]
+    for right, v in zip(inputs[1:], range(first, first + 4 * len(inputs) - 4, 4)):
+        out_lists += ([left], [right], [anchor], [v, v + 1, v + 2])
+        left = v + 3
 
 
 def is_valid_gadget(g: DiGraph, handle: GadgetHandle) -> bool:

@@ -81,12 +81,18 @@ class DiGraph:
     def _append_simple(self, out_lists: list[list[VertexId]]) -> None:
         """Append one fresh vertex per out-list, unchecked; drop the stored order.
 
-        The graph stays simple only if every target is an existing vertex
-        or an earlier list's fresh vertex and no list repeats a target, as
-        in :func:`gadgets.build_or_chain`, the one caller.  The graph keeps
-        the lists themselves, not copies.
+        The graph stays simple only if every target is a vertex once the
+        whole batch is in (G_n's path lists point at later lists), and no
+        list repeats a target or holds its own vertex, as in the two
+        callers, :func:`gadgets.build_or_chain` and
+        :func:`counterexample.build_truncation`.  The graph keeps the
+        lists themselves, not copies, and an empty graph keeps the outer
+        list too, so G_n's layout is not held twice.
         """
-        self._out += out_lists
+        if self._out:
+            self._out += out_lists
+        else:
+            self._out = out_lists
         self._order = None
 
     def _check_vertex(self, v: int) -> None:

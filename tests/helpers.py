@@ -9,8 +9,9 @@ import random
 
 from hypothesis import strategies as st
 
-from majoritylab.counterexample import truncation_extension
+from majoritylab.counterexample import TruncationSpec, truncation_extension
 from majoritylab.errors import CycleFound
+from majoritylab.gadgets import build_or_chain
 from majoritylab.graph import Coloring, DiGraph, topological_sort
 from majoritylab.majority import verify
 from majoritylab.multigraph import WeightedMultigraph, _weight_vectors
@@ -206,6 +207,39 @@ def sorted_sigma_label(g: DiGraph, spec) -> dict[int, tuple[int, int, int]]:
         for p, w in enumerate(gadget_internal_sort(g, handle)):
             labels[w] = (i - 1, j, p)
     return labels
+
+
+def reference_truncation(n: int):
+    """Oracle: G_n built one checked edge at a time, in the builder's id order.
+
+    The path edges come first; then, per window in registry order, the
+    chain from ``build_or_chain`` and the hookup from v_{i-1} to its
+    output, both through ``add_edge``.  Returns ``(graph, spec)``.
+    """
+    g = DiGraph(n + 1)
+    for u in range(n - 1):
+        g.add_edge(u, u + 1)
+    registry = {}
+    for i in range(2, n):
+        for j in range(i + 1, n + 1):
+            handle = build_or_chain(g, n, tuple(range(i - 1, j)))
+            g.add_edge(i - 2, handle.output)
+            registry[(i, j)] = handle
+    return g, TruncationSpec(n, registry)
+
+
+def sorted_scan_violation(g: DiGraph, spec, labels):
+    """Oracle: the first edge in ``sorted_edges()`` order the σ-labels fail on.
+
+    An edge out of the anchor always fails; an edge into it never does.
+    The labels must be total off the anchor.
+    """
+    for u, v in g.sorted_edges():
+        if u == spec.anchor:
+            return (u, v)
+        if v != spec.anchor and not labels[u] < labels[v]:
+            return (u, v)
+    return None
 
 
 def extension_rule_colorings(g, spec, anchor_colors=(0, 1)):

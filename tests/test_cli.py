@@ -540,7 +540,7 @@ class TestLineRecords:
 
 
 class TestIdLists:
-    """--free and --support: comma-separated fields, each -?[0-9]+ once stripped."""
+    """--free and --support: comma-separated fields, each -?[0-9]+ once stripped, none repeated."""
 
     @pytest.mark.parametrize("value", ["\u0663", "1_0", "+1", "\uff13", "\u0662,1_0", " 1 , 2"])
     @pytest.mark.parametrize("flag, argv, good", [
@@ -552,6 +552,15 @@ class TestIdLists:
         bad = (2, "", f"error: expected comma-separated integers, got {value!r}\n")
         # Spaces around a field are stripped, so " 1 , 2" reads vertices 1 and 2.
         assert run([*argv, flag, value]) == ((*good, "") if value == " 1 , 2" else bad)
+
+    @pytest.mark.parametrize("value, repeat", [("1,1", 1), ("2, 0,2", 2), ("0,1,1,0", 1)])
+    @pytest.mark.parametrize("flag, argv", [
+        ("--free", ["majority", "enumerate", "GRAPH", "--colors", "2"]),
+        ("--support", ["infinite", "check", "--mode", "true"]),
+    ], ids=["free", "support"])
+    def test_a_repeated_id_is_refused(self, path_graph_file, flag, argv, value, repeat):
+        argv = [str(path_graph_file) if a == "GRAPH" else a for a in argv]
+        assert run([*argv, flag, value]) == (2, "", f"error: id {repeat} is repeated in {value!r}\n")
 
 
 class TestGraphConvert:

@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import pytest
 
-from helpers import sorted_sigma_label
+from helpers import reference_truncation, sorted_scan_violation, sorted_sigma_label
 from majoritylab import counterexample
 from majoritylab.counterexample import (
     SigmaCheckResult,
@@ -15,7 +16,7 @@ from majoritylab.counterexample import (
 )
 from majoritylab.errors import TooLarge
 from majoritylab.gadgets import is_valid_gadget
-from majoritylab.graph import to_text, topological_sort
+from majoritylab.graph import DiGraph, to_text, topological_sort
 from majoritylab.majority import greedy_dag_2color, verify
 
 
@@ -75,13 +76,35 @@ class TestLayout:
         for (i, j), handle in spec.gadget_registry.items():
             assert handle.output in g.out(spec.path_vertex(i - 1))
 
-    def test_gadget_ids_follow_anchor_in_registry_order(self):
-        _, spec = build_truncation(5)
-        next_id = spec.anchor + 1
-        for key in sorted(spec.gadget_registry):
-            handle = spec.gadget_registry[key]
-            assert sorted(handle.internal) == list(range(next_id, handle.output + 1))
-            next_id = handle.output + 1
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_batch_matches_one_edge_at_a_time(self, n):
+        g, spec = build_truncation(n)
+        ref, ref_spec = reference_truncation(n)
+        assert g.adjacency == ref.adjacency  # each out-list in the same order
+        assert list(spec.gadget_registry.items()) == list(ref_spec.gadget_registry.items())
+        assert spec == ref_spec
+        assert g == ref
+
+    def test_batch_stays_under_the_simple_graph_rule(self):
+        # v1 has 35 out-edges in G_36, past add_edge's scan limit of 32.
+        g, spec = build_truncation(36)
+        assert g.out_degree(spec.path_vertex(1)) == 35
+        for u, v in ((0, 1), (0, spec.gadget_registry[(2, 36)].output), (1, 2)):
+            with pytest.raises(ValueError, match="already present"):
+                g.add_edge(u, v)
+        g.add_edge(0, 2)
+        assert g.out(0)[-1] == 2
+
+    def test_batch_holds_the_layout_once(self):
+        # The empty graph adopts the layout list; a copy of it would add
+        # 8 bytes per vertex to the peak (G_40 has 39 561 vertices).
+        tracemalloc.start()
+        try:
+            g, _ = build_truncation(40)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - size < 2 * g.vertex_count
 
     def test_out_degree_formula(self):
         for n in range(2, 9):
@@ -209,11 +232,67 @@ class TestSigma:
         assert result.first_violation == (v1, v2)
 
     def test_partial_labels_rejected(self):
-        g, spec = build_truncation(3)
+        for n in range(2, 11):
+            g, spec = build_truncation(n)
+            labels = sigma_label(g, spec)
+            for v in (0, n - 1, g.vertex_count - 1):
+                if v != spec.anchor:
+                    partial = {**labels, 0: (0, 0, 0)}  # an edge fails before v
+                    del partial[v]
+                    with pytest.raises(ValueError, match=f"vertex {v} has no label"):
+                        verify_sigma(g, spec, partial)
+
+
+def _reversed_lists(g):
+    """A copy of ``g`` with every out-list in reverse order."""
+    h = DiGraph(g.vertex_count)
+    for u, targets in enumerate(g.adjacency):
+        for v in reversed(targets):
+            h.add_edge(u, v)
+    return h
+
+
+def _relabelings(spec, labels):
+    """The true labels, every swap of two path labels or of two labels
+    inside one gadget, and each label lowered to (0, 0, 0)."""
+    yield labels
+    groups = [spec.path, *(sorted(h.internal) for h in spec.gadget_registry.values())]
+    for group in groups:
+        for a, b in itertools.combinations(group, 2):
+            yield {**labels, a: labels[b], b: labels[a]}
+    for v in labels:
+        yield {**labels, v: (0, 0, 0)}
+
+
+class TestSigmaFirstViolation:
+    """verify_sigma names the same edge as a scan of ``sorted_edges()``.
+
+    Each case also runs on a copy whose out-lists are reversed, so the
+    first failing target in list order is not the smallest one.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_relabelings_match_the_sorted_scan(self, n):
+        g, spec = build_truncation(n)
+        reversed_g = _reversed_lists(g)
+        failed = 0
+        for labels in _relabelings(spec, sigma_label(g, spec)):
+            want = sorted_scan_violation(g, spec, labels)  # the same edges in both
+            assert verify_sigma(g, spec, labels).first_violation == want
+            assert verify_sigma(reversed_g, spec, labels).first_violation == want
+            failed += want is not None
+        assert failed > 0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_an_anchor_edge_matches_the_sorted_scan(self, n):
+        g, spec = build_truncation(n)
         labels = sigma_label(g, spec)
-        del labels[spec.path_vertex(1)]
-        with pytest.raises(ValueError):
-            verify_sigma(g, spec, labels)
+        targets = [v for v in (n - 1, 0, g.vertex_count - 1) if v != spec.anchor]
+        for v in targets:
+            g.add_edge(spec.anchor, v)
+            want = sorted_scan_violation(g, spec, labels)
+            assert want == (spec.anchor, min(g.out(spec.anchor)))
+            assert verify_sigma(g, spec, labels).first_violation == want
 
 
 class TestMajorityOnTruncations:

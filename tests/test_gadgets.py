@@ -116,12 +116,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least 2 inputs, got 1"):
             build_or_chain(g, 0, (1,))
 
-    def test_stages_link_by_output(self):
-        _, handle = fresh_chain(4)
-        for prev, nxt in zip(handle.stages, handle.stages[1:]):
-            assert nxt.left == prev.collector
-        assert handle.output == handle.stages[-1].collector
-
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_chain_fields_follow_vertex_order(self, k):
         # Fresh vertices are appended after the inputs, and the last one

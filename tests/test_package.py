@@ -120,7 +120,7 @@ class TestPublicSurface:
     def test_only_graph_touches_the_adjacency_lists(self):
         # DiGraph's set index of long out-lists and its stored topological
         # order are right only while add_edge, add_vertex, the edge loader
-        # and the OR chain's batch append (_append_simple) in graph.py are
+        # and the builders' batch append (_append_simple) in graph.py are
         # the only writers.
         found = [
             f"{name}:{node.lineno}: .{node.attr}"
@@ -130,9 +130,20 @@ class TestPublicSurface:
         assert found == []
 
     def test_only_the_chain_builder_appends_unchecked(self):
-        # DiGraph._append_simple checks no edge: only build_or_chain in
-        # gadgets.py, whose lists are simple by construction, may call it.
-        assert _calls_to("_append_simple", skip="gadgets.py") == []
+        # DiGraph._append_simple checks no edge: only the two builders whose
+        # lists are simple by construction may call it, build_or_chain in
+        # gadgets.py and, once, build_truncation in counterexample.py.
+        tree = ast.parse((SRC / "majoritylab" / "counterexample.py").read_text(encoding="utf-8"))
+        build = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "build_truncation"
+        )
+        inside = [
+            f"counterexample.py:{node.lineno}" for node in ast.walk(build)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "_append_simple"
+        ]
+        assert len(inside) == 1
+        assert _calls_to("_append_simple", skip="gadgets.py") == inside
 
     def test_no_module_skips_the_handle_constructor(self):
         # A __new__ beside GadgetHandle or GadgetStage in one call, as in
