@@ -210,15 +210,19 @@ def _cmd_gadget_verify(args: argparse.Namespace) -> int:
     gadgets.check_exhaustion_bound(4 * (args.inputs - 1))
     g, handle, _ = _isolated_chain(args.inputs)
     report = gadgets.verify_or_semantics(g, handle)
-    print("inputs,extension_exists,extension_unique,output_truth")
-    for outcome in report.outcomes:
-        truth = "" if outcome.output_truth is None else _bool_text(outcome.output_truth)
-        print(
-            f"{_pattern_text(outcome.inputs)},"
-            f"{_bool_text(outcome.extension_exists)},"
-            f"{_bool_text(outcome.extension_unique)},"
-            f"{truth}"
-        )
+
+    def rows() -> Iterator[str]:
+        yield "inputs,extension_exists,extension_unique,output_truth\n"
+        for outcome in report.outcomes:
+            truth = "" if outcome.output_truth is None else _bool_text(outcome.output_truth)
+            yield (
+                f"{_pattern_text(outcome.inputs)},"
+                f"{_bool_text(outcome.extension_exists)},"
+                f"{_bool_text(outcome.extension_unique)},"
+                f"{truth}\n"
+            )
+
+    _write_lines(sys.stdout, rows())
     print(f"is_or: {_bool_text(report.is_or)}", file=sys.stderr)
     return 0 if report.is_or else 1
 
@@ -256,15 +260,17 @@ def _cmd_counterexample_verify(args: argparse.Namespace) -> int:
         acyclic = False
     anchor_sink = g.out_degree(spec.anchor) == 0
     sigma_ok = cx.verify_sigma(g, spec, cx.sigma_label(g, spec)).ok
-    print("check,result")
-    for name, ok in (
+    checks = (
         ("gadget_validity", validity),
         ("acyclic", acyclic),
         ("anchor_sink", anchor_sink),
         ("sigma_labels", sigma_ok),
-    ):
-        print(f"{name},{'pass' if ok else 'fail'}")
-    return 0 if validity and acyclic and anchor_sink and sigma_ok else 1
+    )
+    _write_lines(sys.stdout, (
+        "check,result\n",
+        *(f"{name},{'pass' if ok else 'fail'}\n" for name, ok in checks),
+    ))
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 # --- infinite group --------------------------------------------------------
@@ -316,13 +322,17 @@ def _cmd_multigraph_solve(args: argparse.Namespace) -> int:
 
 def _cmd_multigraph_search(args: argparse.Namespace) -> int:
     findings = multigraph.search_non_k_colorable(args.max_v, args.max_w, args.k)
-    print(f"# findings: {len(findings)}")
-    for idx, mg in enumerate(findings):
-        print(f"# instance {idx}: vertices={mg.vertex_count} "
-              f"total_weight={mg.total_weight}")
-        for u, v, w in mg.edges():
-            print(f"{u} {v} {w}")
-        print()
+
+    def rows() -> Iterator[str]:
+        yield f"# findings: {len(findings)}\n"
+        for idx, mg in enumerate(findings):
+            yield (f"# instance {idx}: vertices={mg.vertex_count} "
+                   f"total_weight={mg.total_weight}\n")
+            for u, v, w in mg.edges():
+                yield f"{u} {v} {w}\n"
+            yield "\n"
+
+    _write_lines(sys.stdout, rows())
     return 1 if findings else 0
 
 

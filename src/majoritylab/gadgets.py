@@ -221,9 +221,10 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
     """
     if not is_valid_gadget(g, handle):
         raise ValueError("gadget is not valid: internal out-edge leaves the gadget")
-    internal = sorted(handle.internal)
-    check_exhaustion_bound(len(internal))
-    targets = [(w, g.out(w)) for w in internal]
+    first, output = handle.first, handle.output
+    m = output + 1 - first
+    check_exhaustion_bound(m)
+    targets = [(w, g.out(w)) for w in range(first, output + 1)]
     # Indexed by the graph's own ids; the anchor keeps color 0 throughout.
     colors = [0] * g.vertex_count
     outcomes: list[PrecoloringOutcome] = []
@@ -232,9 +233,9 @@ def verify_or_semantics(g: DiGraph, handle: GadgetHandle) -> SemanticsReport:
             colors[u] = 0 if truth else 1
         extension_count = 0
         output_truths: set[bool] = set()
-        for mask in range(1 << len(internal)):
-            for bit, w in enumerate(internal):
-                colors[w] = (mask >> bit) & 1
+        for assignment in itertools.product((0, 1), repeat=m):
+            # A chain's internals are the contiguous ids first .. output.
+            colors[first:output + 1] = assignment
             for w, outs in targets:
                 if 2 * monochromatic(colors, w, outs) > len(outs):
                     break

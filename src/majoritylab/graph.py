@@ -17,6 +17,7 @@ import json
 import re
 from collections import Counter
 from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleFound, ParseError
@@ -259,7 +260,9 @@ def text_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]
     commas without a lookahead.
     """
     # Hand-rolled emission so each edge occupies one line (diff-friendly);
-    # the output is ordinary JSON.
+    # the output is ordinary JSON.  A name is encoded as json.dumps would
+    # encode it, without its dispatch; a name that is not a str raises
+    # TypeError, as from_text would refuse it.
     yield '{\n  "edges": ['
     sep = "\n"
     for u, targets in enumerate(g._out):
@@ -270,7 +273,7 @@ def text_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]
         yield '\n  ],\n  "names": {'
         sep = "\n"
         for v in sorted(names):
-            yield f'{sep}    "{v}": {json.dumps(names[v])}'
+            yield f'{sep}    "{v}": {encode_basestring_ascii(names[v])}'
             sep = ",\n"
         yield "\n  },"
     else:

@@ -33,6 +33,15 @@ def fresh_chain(k):
     return g, handle
 
 
+def without_edge(g, drop):
+    """A copy of ``g`` without the edge ``drop``."""
+    mutant = DiGraph(g.vertex_count)
+    for edge in g.sorted_edges():
+        if edge != drop:
+            mutant.add_edge(*edge)
+    return mutant
+
+
 def reference_chain(g, anchor, inputs):
     """The chain built one ``add_vertex`` and one ``add_edge`` at a time.
 
@@ -311,10 +320,10 @@ class TestSemanticsOracle:
         assert len(report.outcomes) == 32
         assert all(o.extension_unique for o in report.outcomes)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_outcomes_match_brute_force(self, k):
         # Independent of both the gadget loop and the search engine: all
-        # majority 2-colorings of the isolated chain (7, 12, 17 vertices)
+        # majority 2-colorings of the isolated chain (7, 12, 17, 22 vertices)
         # with the anchor colored 0, grouped by their input truths.  The
         # anchor and the inputs are sinks here, so they constrain nothing.
         g, handle = fresh_chain(k)
@@ -336,7 +345,7 @@ class TestSemanticsOracle:
             for o in report.outcomes
         ] == expected
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_extension_counts_match_the_engine(self, k):
         g, handle = fresh_chain(k)
         report = verify_or_semantics(g, handle)
@@ -354,10 +363,7 @@ class TestSemanticsOracle:
         assert len(edges) == 6 * (k - 1)
         counts = []
         for drop in edges:
-            mutant = DiGraph(g.vertex_count)
-            for edge in edges:
-                if edge != drop:
-                    mutant.add_edge(*edge)
+            mutant = without_edge(g, drop)
             report = verify_or_semantics(mutant, handle)
             rows = [(o.inputs, o.extensions, o.output_truth) for o in report.outcomes]
             assert rows == engine_outcomes(mutant, handle), drop
@@ -374,6 +380,32 @@ class TestSemanticsOracle:
             assert sorted(handle.members) != list(range(len(handle.members)))
             isolated = verify_or_semantics(*fresh_chain(len(handle.inputs)))
             assert verify_or_semantics(g, handle).outcomes == isolated.outcomes
+
+    def test_unsorted_gapped_inputs_match_an_isolated_chain(self):
+        # Inputs out of id order with gaps between them, among vertices
+        # that point into the gadget or are pointed at by its inputs: the
+        # oracle must color the inputs in chain order and assign only the
+        # internal block.  OR is symmetric in its inputs, so the chain is
+        # also checked without stage 1's edge to its right input, which
+        # leaves that input free and shows which input got which truth.
+        g = DiGraph(8)
+        for u, v in ((2, 1), (6, 7), (4, 3), (5, 0), (1, 4), (3, 6)):
+            g.add_edge(u, v)
+        handle = build_or_chain(g, 0, (6, 2, 4))
+        assert handle.inputs == (6, 2, 4) and handle.first == 8
+        last = g.add_vertex()
+        for u, v in ((3, handle.first + 1), (7, handle.output), (last, handle.output),
+                     (last, 2)):
+            g.add_edge(u, v)
+        assert is_valid_gadget(g, handle)
+        fresh, fresh_handle = fresh_chain(3)
+        report = verify_or_semantics(g, handle)
+        assert report.is_or
+        assert report == verify_or_semantics(fresh, fresh_handle)
+        loose = verify_or_semantics(without_edge(g, (handle.first + 1, 2)), handle)
+        loose_fresh = without_edge(fresh, (fresh_handle.first + 1, fresh_handle.inputs[1]))
+        assert loose == verify_or_semantics(loose_fresh, fresh_handle)
+        assert not loose.is_or
 
     def test_exhaustion_bound(self):
         # 7 stages, 28 internal vertices: refused before enumerating 2^36

@@ -204,6 +204,25 @@ class TestSerialization:
         assert g2 == g
         assert names == {0: "start", 1: "end"}
 
+    @pytest.mark.parametrize("name", [
+        "é", "雪", "\U0001f600", 'a"b', "a\\b", "\x00\x1f\x7f", "\n\t\r", "\ud800", "\udfff",
+    ])
+    def test_names_are_encoded_as_json_dumps_encodes_them(self, name):
+        # Non-ASCII, quote, backslash, control and lone-surrogate names.
+        text = to_text(path_graph(1), {0: name})
+        assert text.isascii()
+        assert f'"0": {json.dumps(name)}\n' in text
+        assert from_text_with_names(text)[1] == {0: name}
+
+    @pytest.mark.parametrize("name", [7, 1.5, None, True, ["v"]])
+    def test_non_string_name_is_refused_both_ways(self, name):
+        # json.dumps would write it, into a document that from_text refuses.
+        with pytest.raises(TypeError):
+            to_text(path_graph(1), {0: name})
+        text = f'{{"vertex_count": 1, "edges": [], "names": {{"0": {json.dumps(name)}}}}}'
+        with pytest.raises(ParseError, match=r"names\[0\]: expected a string"):
+            from_text_with_names(text)
+
     def test_edge_out_of_range(self):
         with pytest.raises(ParseError, match="edges"):
             from_text('{"vertex_count": 3, "edges": [[0, 99]]}')
