@@ -23,8 +23,8 @@ _EXPORTS = {
         "TooLarge",
     ),
     "gadgets": (
-        "GadgetHandle", "GadgetStage", "PrecoloringOutcome", "SemanticsReport",
-        "build_or_chain", "is_valid_gadget", "stage_names", "verify_or_semantics",
+        "GadgetHandle", "PrecoloringOutcome", "SemanticsReport", "build_or_chain",
+        "is_valid_gadget", "stage_names", "verify_or_semantics",
     ),
     "graph": (
         "MAX_VERTICES", "Coloring", "DiGraph", "VertexId", "from_dot", "from_text",

@@ -28,21 +28,6 @@ from .majority import monochromatic
 DEFAULT_EXHAUSTION_BOUND = 24
 
 
-class GadgetStage(NamedTuple):
-    """One binary stage of a chain: two inputs, three negators, a collector."""
-
-    left: VertexId
-    right: VertexId
-    neg_left: VertexId
-    neg_right: VertexId
-    neg_anchor: VertexId
-    collector: VertexId
-
-    @property
-    def fresh(self) -> tuple[VertexId, VertexId, VertexId, VertexId]:
-        return (self.neg_left, self.neg_right, self.neg_anchor, self.collector)
-
-
 class _GadgetHandleFields(NamedTuple):
     anchor: VertexId
     inputs: tuple[VertexId, ...]
@@ -53,8 +38,9 @@ class GadgetHandle(_GadgetHandleFields):
     """A built OR chain: its anchor, its k >= 2 inputs and its first fresh id.
 
     Stage s ORs the previous collector with input s+1 and owns the fresh
-    ids first+4s .. first+4s+3, so the stages, the output and the internal
-    vertices all follow.  ``_make`` and ``_replace`` go through the
+    ids first+4s .. first+4s+3, in the role order (neg_left, neg_right,
+    neg_anchor, collector) at offsets 0..3, so the output and the internal
+    vertices follow.  ``_make`` and ``_replace`` go through the
     constructor, which stores the inputs as a tuple and refuses fewer than two.
     """
 
@@ -69,15 +55,6 @@ class GadgetHandle(_GadgetHandleFields):
     @classmethod
     def _make(cls, fields: Iterable) -> "GadgetHandle":
         return cls(*fields)
-
-    @property
-    def stages(self) -> tuple[GadgetStage, ...]:
-        stages = []
-        left = self.inputs[0]
-        for right, v in zip(self.inputs[1:], range(self.first, self.output, 4)):
-            stages.append(GadgetStage(left, right, v, v + 1, v + 2, v + 3))
-            left = v + 3
-        return tuple(stages)
 
     @property
     def output(self) -> VertexId:
@@ -151,10 +128,9 @@ def build_or_chain(
 
     Stage s ORs the previous stage's output with input s+1, so a chain
     over k inputs has k-1 stages, 4(k-1) internal vertices and 6(k-1)
-    edges.  Each stage creates its fresh vertices in the order
-    (neg_left, neg_right, neg_anchor, collector); the last collector is
-    the output.  All arguments, and the size cap, are checked first; then
-    the chain, simple by construction, is appended in one batch.
+    edges, laid out as :class:`GadgetHandle` describes.  All arguments,
+    and the size cap, are checked first; then the chain, simple by
+    construction, is appended in one batch.
     """
     inputs = tuple(inputs)
     if len(inputs) < 2:
@@ -184,8 +160,8 @@ def _lay_out_chain(
 ) -> None:
     """Extend ``out_lists`` by the chain's 4(k-1) out-lists, fresh ids from ``first``.
 
-    Stage s's lists are (neg_left, neg_right, neg_anchor, collector); each
-    left input is the previous collector.  Nothing is checked.
+    Each stage's four lists come in the handle's role order; each left
+    input is the previous collector.  Nothing is checked.
     """
     left = inputs[0]
     for right, v in zip(inputs[1:], range(first, first + 4 * len(inputs) - 4, 4)):
@@ -263,21 +239,18 @@ def forced_extension(
         )
     truths: dict[int, bool] = {}
     left = bool(input_truths[0])
-    for stage, right in zip(handle.stages, map(bool, input_truths[1:])):
-        truths[stage.neg_left] = not left
-        truths[stage.neg_right] = not right
-        truths[stage.neg_anchor] = False
-        truths[stage.collector] = left or right
-        left = truths[stage.collector]
+    for v, right in zip(range(handle.first, handle.output, 4), map(bool, input_truths[1:])):
+        truths[v] = not left
+        truths[v + 1] = not right
+        truths[v + 2] = False
+        truths[v + 3] = left = left or right
     return truths
 
 
 def stage_names(handle: GadgetHandle, prefix: str = "") -> dict[VertexId, str]:
     """Human-readable role names for the gadget's internal vertices."""
     names: dict[int, str] = {}
-    for s, stage in enumerate(handle.stages, 1):
-        names[stage.neg_left] = f"{prefix}s{s}.negx"
-        names[stage.neg_right] = f"{prefix}s{s}.negy"
-        names[stage.neg_anchor] = f"{prefix}s{s}.negt"
-        names[stage.collector] = f"{prefix}s{s}.out"
+    for s, v in enumerate(range(handle.first, handle.output, 4), 1):
+        for w, role in enumerate(("negx", "negy", "negt", "out"), v):
+            names[w] = f"{prefix}s{s}.{role}"
     return names

@@ -253,11 +253,9 @@ def topological_sort(g: DiGraph) -> list[VertexId]:
 def text_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]:
     """The canonical graph text, one piece per line, for writing as made.
 
-    Sorted keys, one sorted edge per line.  Edges are emitted source by
-    source with each out-list sorted, which is the lexicographic order
-    without a global sort of edge tuples.  Each piece opens with the end
-    of the line before it, so the last edge and the last name drop their
-    commas without a lookahead.
+    Sorted keys, one edge per line in :meth:`DiGraph.sorted_edges` order.
+    Each piece opens with the end of the line before it, so the last edge
+    and the last name drop their commas without a lookahead.
     """
     # Hand-rolled emission so each edge occupies one line (diff-friendly);
     # the output is ordinary JSON.  A name is encoded as json.dumps would
@@ -265,10 +263,9 @@ def text_lines(g: DiGraph, names: dict[int, str] | None = None) -> Iterator[str]
     # TypeError, as from_text would refuse it.
     yield '{\n  "edges": ['
     sep = "\n"
-    for u, targets in enumerate(g._out):
-        for v in sorted(targets):
-            yield f"{sep}    [{u}, {v}]"
-            sep = ",\n"
+    for u, v in g.sorted_edges():
+        yield f"{sep}    [{u}, {v}]"
+        sep = ",\n"
     if names:
         yield '\n  ],\n  "names": {'
         sep = "\n"
@@ -470,6 +467,8 @@ def from_dot(text: str) -> tuple[DiGraph, dict[int, str] | None]:
                     names[vid] = _dot_unescape(node.group(2))
         except ValueError:
             raise ParseError(f"line {lineno}: number too long to parse") from None
+    if len(vertices) > MAX_VERTICES:
+        raise ParseError(f"{len(vertices)} vertex statements exceed the cap {MAX_VERTICES}")
     if sorted(vertices) != list(range(len(vertices))):
         raise ParseError("vertex statements must cover ids 0..V-1 exactly once")
     g = _load_edges(len(vertices), edges, "edge {idx} ({pair[0]} -> {pair[1]})")

@@ -31,8 +31,10 @@ from .errors import CycleFound, TooLarge
 from .graph import Coloring, DiGraph, VertexId, topological_sort
 
 #: Most vertex colors the enumerator stores over all its solutions before
-#: it refuses with ``TooLarge``: about 36 MB of color tuples.  A cap on the
-#: solution count alone would still let a wide graph exhaust memory.
+#: it refuses with ``TooLarge``.  A cap on the solution count alone would
+#: still let a wide graph exhaust memory.  The memory per stored color is
+#: highest on one vertex: ``majority enumerate --colors 4194304`` on a
+#: 1-vertex graph peaks at about 690 MB.
 MAX_STORED_COLORS = 2**22
 
 
@@ -131,9 +133,10 @@ def enumerate_majority_colorings(
     depth and runs once its color is stored.  The solutions are sorted
     and wrapped without a second palette check.  Solutions that would
     hold more than ``MAX_STORED_COLORS`` vertex colors in all raise
-    ``TooLarge`` rather than fill memory.  The forced-extension rule of
-    the OR gadgets is not consulted here: the tests keep it as an
-    independent cross-check.
+    ``TooLarge`` rather than fill memory; so does, at once, a palette of
+    more than ``MAX_STORED_COLORS`` colors with no vertex pinned.  The
+    forced-extension rule of the OR gadgets is not consulted here: the
+    tests keep it as an independent cross-check.
     """
     if palette_size < 1:
         raise ValueError("palette_size must be positive")
@@ -146,6 +149,14 @@ def enumerate_majority_colorings(
             raise ValueError(f"fixed color {c} for vertex {v} outside palette")
     if n == 0:
         return [Coloring(palette_size, ())]
+    # With 4 or more colors every digraph has a majority coloring, and
+    # renaming its colors gives palette_size distinct ones; so an unpinned
+    # palette past the cap is refused exactly, before the palette is built.
+    if not fixed and palette_size > MAX_STORED_COLORS:
+        raise TooLarge(
+            f"at least {palette_size} majority colorings of {n} vertices; "
+            "enumeration refused"
+        )
     # Vertex v is checked at the depth where the last of {v} + out(v) is
     # assigned; it passes while at most half its targets match it.  When
     # that last vertex is v itself, the check runs on each candidate color

@@ -158,8 +158,9 @@ def _shift_map(small, large):
     phi[small.anchor] = large.anchor
     for (i, j), handle in small.gadget_registry.items():
         image = large.gadget_registry[(i + 1, j + 1)]
-        for stage, image_stage in zip(handle.stages, image.stages):
-            phi.update(zip(stage.fresh, image_stage.fresh))
+        phi.update(zip(
+            range(handle.first, handle.output + 1), range(image.first, image.output + 1)
+        ))
     return phi
 
 

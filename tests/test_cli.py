@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import digraphs, multigraphs
-from majoritylab import majority
+from majoritylab import graph, majority
 from majoritylab.cli import dispatch
 from majoritylab.counterexample import build_truncation, truncation_names
 from majoritylab.graph import DiGraph, from_dot, from_text, to_dot, to_text
@@ -143,6 +143,18 @@ class TestUsage:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_over_cap_palette_refused_before_it_is_built(self, tmp_path):
+        # A palette of 10^9 colors would need gigabytes as a tuple; refused
+        # first, the 1-vertex enumeration fits in 100 MB.
+        f = tmp_path / "one.json"
+        f.write_text(to_text(DiGraph(1)), encoding="utf-8")
+        proc = run_limited(["majority", "enumerate", str(f), "--colors", str(10**9)], 100)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: at least 1000000000 majority colorings of 1 vertices; "
+            "enumeration refused\n"
+        )
 
     def test_long_chain_refused_before_it_is_built(self):
         # Built, the 200 000-input chain needs about 365 MB; refused by the
@@ -572,6 +584,18 @@ class TestGraphConvert:
         code, text, _ = run(["graph", "convert", str(dot_file), "--to", "text"])
         assert code == 0
         assert from_text(text) == from_text(path_graph_file.read_text(encoding="utf-8"))
+
+    def test_over_cap_dot_is_refused(self, tmp_path, monkeypatch):
+        # Graph text past the cap would be refused by every subcommand, so
+        # the DOT reader refuses it first.
+        monkeypatch.setattr(graph, "MAX_VERTICES", 3)
+        f = tmp_path / "g.dot"
+        f.write_text(to_dot(DiGraph(4)), encoding="utf-8")
+        assert run(["graph", "convert", str(f), "--to", "text"]) == (
+            2, "", "error: 4 vertex statements exceed the cap 3\n"
+        )
+        f.write_text(to_dot(DiGraph(3)), encoding="utf-8")
+        assert run(["graph", "convert", str(f), "--to", "text"]) == (0, to_text(DiGraph(3)), "")
 
     def test_canonicalizes(self, tmp_path):
         f = tmp_path / "g.json"

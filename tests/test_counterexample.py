@@ -155,11 +155,11 @@ class TestContainment:
             mapping[spec_small.path_vertex(i)] = spec_big.path_vertex(i)
         for key, h_small in spec_small.gadget_registry.items():
             h_big = spec_big.gadget_registry[key]
-            for s_small, s_big in zip(h_small.stages, h_big.stages):
-                mapping[s_small.neg_left] = s_big.neg_left
-                mapping[s_small.neg_right] = s_big.neg_right
-                mapping[s_small.neg_anchor] = s_big.neg_anchor
-                mapping[s_small.collector] = s_big.collector
+            # Stage by stage, role by role: the internal ids in order.
+            mapping.update(zip(
+                range(h_small.first, h_small.output + 1),
+                range(h_big.first, h_big.output + 1),
+            ))
         small_edges = {(mapping[u], mapping[v]) for u, v in g_small.sorted_edges()}
         image = set(mapping.values())
         induced = {

@@ -10,7 +10,6 @@ from majoritylab.errors import TooLarge
 from majoritylab.gadgets import (
     DEFAULT_EXHAUSTION_BOUND,
     GadgetHandle,
-    GadgetStage,
     PrecoloringOutcome,
     SemanticsReport,
     build_or2,
@@ -47,7 +46,9 @@ def reference_chain(g, anchor, inputs):
 
     Each stage creates (neg_left, neg_right, neg_anchor, collector) and
     adds the negator edges, then the collector's, as the builder lays
-    them out.  Returns its stages: a record independent of the handle's.
+    them out.  Returns its stages as plain id tuples
+    ``(left, right, neg_left, neg_right, neg_anchor, collector)``,
+    independent of the handle's id arithmetic.
     """
     stages = []
     left = inputs[0]
@@ -59,9 +60,40 @@ def reference_chain(g, anchor, inputs):
         g.add_edge(collector, neg_left)
         g.add_edge(collector, neg_right)
         g.add_edge(collector, neg_anchor)
-        stages.append(GadgetStage(left, right, neg_left, neg_right, neg_anchor, collector))
+        stages.append((left, right, neg_left, neg_right, neg_anchor, collector))
         left = collector
     return tuple(stages)
+
+
+def fresh_stages(k):
+    """The reference stages of ``fresh_chain(k)``, built on a graph of their own."""
+    return reference_chain(DiGraph(k + 1), 0, tuple(range(1, k + 1)))
+
+
+def assert_roles_match(handle, stages):
+    """``stage_names`` and ``forced_extension`` agree with the reference stages.
+
+    The names and truths are derived here from the stages' own ids: each
+    negator takes the negation of its target, the anchor negator is false
+    and each collector takes the OR of its stage's two inputs.
+    """
+    assert handle.output == stages[-1][-1]
+    assert handle.internal == frozenset(v for stage in stages for v in stage[2:])
+    names = {
+        v: f"g.s{s}.{role}"
+        for s, stage in enumerate(stages, 1)
+        for v, role in zip(stage[2:], ("negx", "negy", "negt", "out"))
+    }
+    assert stage_names(handle, prefix="g.") == names
+    for pre in itertools.product((False, True), repeat=len(handle.inputs)):
+        truths = dict(zip(handle.inputs, pre))
+        expected = {}
+        for left, right, neg_left, neg_right, neg_anchor, collector in stages:
+            expected[neg_left] = not truths[left]
+            expected[neg_right] = not truths[right]
+            expected[neg_anchor] = False
+            expected[collector] = truths[collector] = truths[left] or truths[right]
+        assert list(forced_extension(handle, pre).items()) == list(expected.items())
 
 
 def engine_outcomes(g, handle):
@@ -92,9 +124,10 @@ class TestConstruction:
 
     def test_binary_degrees(self):
         g, handle = fresh_chain(2)
-        stage = handle.stages[0]
+        ((_, _, *negators, collector),) = fresh_stages(2)
+        assert handle.output == collector
         assert g.out_degree(handle.output) == 3
-        for v in (stage.neg_left, stage.neg_right, stage.neg_anchor):
+        for v in negators:
             assert g.out_degree(v) == 1
 
     def test_internal_edges_stay_inside(self):
@@ -105,14 +138,14 @@ class TestConstruction:
 
     def test_chain_three_counts(self):
         g, handle = fresh_chain(3)
-        assert len(handle.stages) == 2
+        assert handle.output == fresh_stages(3)[1][-1]
         assert len(handle.internal) == 8
         assert g.edge_count == 12
 
     def test_chain_five_counts(self):
         g, handle = fresh_chain(5)
-        assert len(handle.stages) == 4
-        assert len(handle.internal) == 16
+        assert len(stage_names(handle)) == len(handle.internal) == 16
+        assert stage_names(handle)[handle.output] == "s4.out"
 
     def test_chain_two_is_binary(self):
         g1, _ = fresh_chain(2)
@@ -187,19 +220,37 @@ class TestConstruction:
         stages = reference_chain(ref, spec.anchor, inputs)
         assert g.adjacency == ref.adjacency  # each out-list in the same order
         assert (handle.anchor, handle.inputs) == (spec.anchor, inputs)
-        assert handle.stages == stages
-        assert handle.output == stages[-1].collector
-        assert handle.internal == frozenset(v for s in stages for v in s.fresh)
+        assert_roles_match(handle, stages)
         assert handle.internal_order == (
-            *(v for s in reversed(stages) for v in (s.collector, s.neg_left)),
-            *(v for s in stages for v in (s.neg_right, s.neg_anchor)),
+            *(v for s in reversed(stages) for v in (s[5], s[2])),
+            *(v for s in stages for v in (s[3], s[4])),
         )
         # The appended lists stay under add_edge's simple-graph rule.
-        stage = handle.stages[-1]
+        _, right, _, neg_right, neg_anchor, collector = stages[-1]
         with pytest.raises(ValueError, match="already present"):
-            g.add_edge(stage.collector, stage.neg_anchor)
+            g.add_edge(collector, neg_anchor)
         with pytest.raises(ValueError, match="already present"):
-            g.add_edge(stage.neg_right, stage.right)
+            g.add_edge(neg_right, right)
+
+    def test_gapped_inputs_match_the_reference(self):
+        g, ref = DiGraph(8), DiGraph(8)
+        handle = build_or_chain(g, 0, (6, 2, 4))
+        stages = reference_chain(ref, 0, (6, 2, 4))
+        assert g == ref
+        assert [stage[:2] for stage in stages] == [(6, 2), (stages[0][-1], 4)]
+        assert_roles_match(handle, stages)
+
+    def test_registry_handles_match_the_reference(self):
+        # Each G_6 chain rebuilt on its own, on a graph of the ids before
+        # it: the same fresh ids, the same out-lists and the same roles.
+        g, spec = build_truncation(6)
+        for handle in spec.gadget_registry.values():
+            ref = DiGraph(handle.first)
+            stages = reference_chain(ref, handle.anchor, handle.inputs)
+            assert ref.vertex_count == handle.output + 1
+            for w in handle.internal:
+                assert list(g.out(w)) == list(ref.out(w))
+            assert_roles_match(handle, stages)
 
     def test_chain_drops_the_stored_order(self):
         g, spec = build_truncation(4)
@@ -241,7 +292,7 @@ class TestHandleShape:
         # Fresh ids start at the graph's old vertex count.
         _, handle = fresh_chain(k)
         assert type(handle) is GadgetHandle and GadgetHandle(*handle) == handle
-        assert (handle.first, len(handle.stages)) == (k + 1, k - 1)
+        assert (handle.first, len(handle.internal)) == (k + 1, 4 * (k - 1))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_registry_handles_pass_the_check(self, n):
@@ -269,8 +320,7 @@ class TestHandleShape:
     def test_prefix_of_stages_is_a_shorter_chain(self):
         _, handle = fresh_chain(4)
         short = handle._replace(inputs=handle.inputs[:3])
-        assert short.stages == handle.stages[:2]
-        assert short.output == handle.stages[1].collector
+        assert_roles_match(short, fresh_stages(4)[:2])
         assert len(short.internal) == 8
 
 
@@ -417,12 +467,12 @@ class TestSemanticsOracle:
 
     def test_negators_oppose_their_target(self):
         g, handle = fresh_chain(2)
-        stage = handle.stages[0]
+        ((_, _, neg_left, neg_right, neg_anchor, _),) = fresh_stages(2)
         for pre in itertools.product((False, True), repeat=2):
             ext = forced_extension(handle, pre)
-            assert ext[stage.neg_left] == (not pre[0])
-            assert ext[stage.neg_right] == (not pre[1])
-            assert ext[stage.neg_anchor] is False
+            assert ext[neg_left] == (not pre[0])
+            assert ext[neg_right] == (not pre[1])
+            assert ext[neg_anchor] is False
 
     def test_broken_topology_is_detected(self):
         # Rewire the left negator to point at the anchor instead of its
@@ -432,12 +482,12 @@ class TestSemanticsOracle:
         g = DiGraph(3)
         for v in handle.internal:
             assert g.add_vertex() == v
-        stage = handle.stages[0]
-        g.add_edge(stage.neg_left, 0)  # wrong target (anchor, not input 1)
-        g.add_edge(stage.neg_right, 2)
-        g.add_edge(stage.neg_anchor, 0)
-        for neg in (stage.neg_left, stage.neg_right, stage.neg_anchor):
-            g.add_edge(stage.collector, neg)
+        ((_, _, neg_left, neg_right, neg_anchor, collector),) = fresh_stages(2)
+        g.add_edge(neg_left, 0)  # wrong target (anchor, not input 1)
+        g.add_edge(neg_right, 2)
+        g.add_edge(neg_anchor, 0)
+        for neg in (neg_left, neg_right, neg_anchor):
+            g.add_edge(collector, neg)
         report = verify_or_semantics(g, handle)
         assert not report.is_or
 
@@ -472,20 +522,21 @@ class TestDerivedVerdicts:
 class TestForcedExtension:
     def test_binary_examples(self):
         _, handle = fresh_chain(2)
-        stage = handle.stages[0]
+        ((_, _, neg_left, neg_right, neg_anchor, collector),) = fresh_stages(2)
         ext = forced_extension(handle, (True, False))
-        assert ext[stage.neg_left] is False
-        assert ext[stage.neg_right] is True
-        assert ext[stage.neg_anchor] is False
-        assert ext[stage.collector] is True
-        assert forced_extension(handle, (False, False))[stage.collector] is False
-        assert forced_extension(handle, (True, True))[stage.collector] is True
+        assert ext[neg_left] is False
+        assert ext[neg_right] is True
+        assert ext[neg_anchor] is False
+        assert ext[collector] is True
+        assert forced_extension(handle, (False, False))[collector] is False
+        assert forced_extension(handle, (True, True))[collector] is True
 
     def test_chain_stage_outputs(self):
         _, handle = fresh_chain(3)
+        first, second = (stage[-1] for stage in fresh_stages(3))
         ext = forced_extension(handle, (False, False, True))
-        assert ext[handle.stages[0].collector] is False
-        assert ext[handle.stages[1].collector] is True
+        assert ext[first] is False
+        assert ext[second] is True
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_oracle_everywhere(self, k):

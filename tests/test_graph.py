@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import dags, digraphs, edge_list_kahn, sorted_tuples_to_text
+from majoritylab import graph
 from majoritylab.errors import CycleFound, ParseError
 from majoritylab.graph import (
     Coloring,
@@ -366,6 +367,12 @@ class TestDot:
     def test_round_trip(self, g):
         g2, _ = from_dot(to_dot(g))
         assert g2 == g
+
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 3)
+        assert from_dot(to_dot(path_graph(3)))[0] == path_graph(3)
+        with pytest.raises(ParseError, match="^4 vertex statements exceed the cap 3$"):
+            from_dot(to_dot(path_graph(4)))
 
     def test_label_escaping(self):
         g = DiGraph(1)

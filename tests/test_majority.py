@@ -204,6 +204,16 @@ class TestEnumerate:
         with pytest.raises(TooLarge, match="more than 3 majority colorings of 2 vertices"):
             enumerate_majority_colorings(DiGraph(2), 2)
 
+    def test_palette_cap(self, monkeypatch):
+        # With k >= 4 colors there are at least k colorings, so a palette
+        # past the cap is refused before the search; pins lift the bound.
+        monkeypatch.setattr(majority, "MAX_STORED_COLORS", 8)
+        assert len(enumerate_majority_colorings(DiGraph(1), 8)) == 8
+        with pytest.raises(TooLarge, match="at least 9 majority colorings of 1 vertices"):
+            enumerate_majority_colorings(DiGraph(1), 9)
+        assert enumerate_majority_colorings(DiGraph(1), 9, fixed={0: 5}) == [Coloring(9, (5,))]
+        assert enumerate_majority_colorings(DiGraph(0), 9) == [Coloring(9, ())]
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_solutions_skip_the_palette_check(self, monkeypatch, k):
         # The engine and the oracle build their solutions from the palette,

@@ -18,7 +18,7 @@ import majoritylab
 
 PUBLIC = [
     "Coloring", "CycleFound", "DeficiencyReport", "DiGraph",
-    "GadgetHandle", "GadgetStage", "LocalSearchResult",
+    "GadgetHandle", "LocalSearchResult",
     "MAX_VERTICES", "MajorityLabError", "ParseError",
     "PrecoloringOutcome", "SemanticsReport",
     "SigmaCheckResult", "SigmaLabeling", "SupportColoring", "SupportMode",
@@ -65,7 +65,7 @@ def _calls_to(callee, skip):
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 56
+        assert len(PUBLIC) == 55
         assert PUBLIC == sorted(PUBLIC)
         assert majoritylab.__all__ == PUBLIC
 
@@ -146,9 +146,9 @@ class TestPublicSurface:
         assert _calls_to("_append_simple", skip="gadgets.py") == inside
 
     def test_no_module_skips_the_handle_constructor(self):
-        # A __new__ beside GadgetHandle or GadgetStage in one call, as in
-        # tuple.__new__(GadgetStage, ...) or map(tuple.__new__,
-        # repeat(GadgetHandle), ...), builds a record without its
+        # A __new__ beside GadgetHandle in one call, as in
+        # tuple.__new__(GadgetHandle, ...) or map(tuple.__new__,
+        # repeat(GadgetHandle), ...), builds a handle without its
         # constructor's check; no module may, gadgets.py included.
         found = []
         for name, node in _package_nodes():
@@ -158,7 +158,7 @@ class TestPublicSurface:
                 n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
             }
-            if {"GadgetHandle", "GadgetStage"} & names and any(
+            if "GadgetHandle" in names and any(
                 isinstance(e, ast.Attribute) and e.attr == "__new__"
                 for e in (node.func, *node.args)
             ):
